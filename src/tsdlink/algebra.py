@@ -269,6 +269,8 @@ def load_algebra(document: dict) -> AlgebraSpec:
         raise AlgebraError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise AlgebraError(f"basis must list {dim} labels")
+    if not isinstance(brackets, list) or not all(isinstance(entry, dict) for entry in brackets):
+        raise AlgebraError("brackets must be a list of {args, value} objects")
     structure: dict[tuple[int, ...], dict[int, object]] = {}
     for entry in brackets:
         args = entry.get("args")
@@ -284,8 +286,11 @@ def load_algebra(document: dict) -> AlgebraSpec:
         key = tuple(args)
         if key in structure:
             raise AlgebraError(f"duplicate bracket tuple {args!r}")
+        value = entry.get("value", [])
+        if not isinstance(value, list) or not all(isinstance(term, dict) for term in value):
+            raise AlgebraError(f"bracket {args!r}: value must be a list of {{idx, coeff}} objects")
         coeffs: dict[int, object] = {}
-        for term in entry.get("value", []):
+        for term in value:
             idx = term.get("idx")
             if not isinstance(idx, int) or not 1 <= idx <= dim:
                 raise AlgebraError(f"bracket value index {idx!r} out of range 1..{dim}")

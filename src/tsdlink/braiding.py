@@ -28,7 +28,7 @@ from .tensor import (
     op_compose,
     tensor_chain,
 )
-from .tsd import TsdPair, make_tsd_pair
+from .tsd import TsdPair, compare, make_tsd_pair
 
 # (x, y, z1, z2, z3, w1, w2, w3) -> (z1, w1, x, z2, w2, y, z3, w3):
 # first legs of the last two inputs exit in front; remaining legs pair up
@@ -74,73 +74,37 @@ class BraidingKit:
         return self.pair.field
 
 
-def _identity_block(pair: TsdPair, rank: int) -> SparseOperator:
-    return SparseOperator.identity(rank, pair.dim, pair.field)
+def _routed(pair: TsdPair, outer: list, route: tuple, inner: list) -> SparseOperator:
+    """(outer factors) . route . (inner factors), materialized."""
+    perm = SparseOperator.permutation(route, pair.dim, pair.field)
+    return compose_chain([tensor_chain(outer), perm, tensor_chain(inner)]).materialized()
 
 
 def build_braiding(pair: TsdPair) -> SparseOperator:
-    dim, field = pair.dim, pair.field
-    one1 = _identity_block(pair, 1)
-    d3 = delta_op(3, dim, field)
-    op = compose_chain(
-        [
-            tensor_chain([one1, one1, pair.op, pair.op]),
-            SparseOperator.permutation(_BRAIDING_ROUTE, dim, field),
-            tensor_chain([one1, one1, d3, d3]),
-        ],
-        cache=False,
-    )
-    return op.materialized()
+    one1, d3 = SparseOperator.identity(1, pair.dim, pair.field), delta_op(3, pair.dim, pair.field)
+    return _routed(pair, [one1, one1, pair.op, pair.op], _BRAIDING_ROUTE, [one1, one1, d3, d3])
 
 
 def build_braiding_inverse(pair: TsdPair) -> SparseOperator:
-    dim, field = pair.dim, pair.field
-    one1 = _identity_block(pair, 1)
-    d3 = delta_op(3, dim, field)
+    one1, d3 = SparseOperator.identity(1, pair.dim, pair.field), delta_op(3, pair.dim, pair.field)
     route = _BRAIDING_INV_ROUTE_BIN if pair.algebra.arity == 2 else _BRAIDING_INV_ROUTE_TER
-    op = compose_chain(
-        [
-            tensor_chain([pair.rev, pair.rev, one1, one1]),
-            SparseOperator.permutation(route, dim, field),
-            tensor_chain([d3, d3, one1, one1]),
-        ],
-        cache=False,
-    ).materialized()
-    forward = build_braiding(pair)
-    _assert_inverse("braiding", forward, op)
+    op = _routed(pair, [pair.rev, pair.rev, one1, one1], route, [d3, d3, one1, one1])
+    _assert_inverse("braiding", build_braiding(pair), op)
     return op
 
 
 def build_twist(pair: TsdPair) -> SparseOperator:
-    dim, field = pair.dim, pair.field
-    d3 = delta_op(3, dim, field)
-    op = compose_chain(
-        [
-            tensor_chain([pair.op, pair.op]),
-            SparseOperator.permutation(_TWIST_ROUTE, dim, field),
-            tensor_chain([d3, d3]),
-        ],
-        cache=False,
-    )
-    return op.materialized()
+    d3 = delta_op(3, pair.dim, pair.field)
+    return _routed(pair, [pair.op, pair.op], _TWIST_ROUTE, [d3, d3])
 
 
 def build_twist_inverse(pair: TsdPair) -> SparseOperator:
-    dim, field = pair.dim, pair.field
-    d3 = delta_op(3, dim, field)
+    d3 = delta_op(3, pair.dim, pair.field)
     # binary path: its own leg layout; ternary path: the twist layout run
     # through the reversing partner (the partner's built-in swap undoes it)
     route = _TWIST_INV_ROUTE_BIN if pair.algebra.arity == 2 else _TWIST_ROUTE
-    op = compose_chain(
-        [
-            tensor_chain([pair.rev, pair.rev]),
-            SparseOperator.permutation(route, dim, field),
-            tensor_chain([d3, d3]),
-        ],
-        cache=False,
-    ).materialized()
-    forward = build_twist(pair)
-    _assert_inverse("twist", forward, op)
+    op = _routed(pair, [pair.rev, pair.rev], route, [d3, d3])
+    _assert_inverse("twist", build_twist(pair), op)
     return op
 
 
@@ -170,16 +134,35 @@ def make_braiding_kit(source: AlgebraSpec | TsdPair) -> BraidingKit:
 
 
 # --------------------------------------------------------------------------
+# Padded generators, shared by the property checks, the framed-braid
+# relations and the trace
+
+
+def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: int) -> SparseOperator:
+    """base acting on strand `strand` of n, identity elsewhere (memoized)."""
+    key = ("pad", name, strand, n)
+    op = kit.cache.get(key)
+    if op is None:
+        left = 2 * (strand - 1)
+        right = 2 * n - left - base.in_rank
+        factors = []
+        if left:
+            factors.append(SparseOperator.identity(left, kit.dim, kit.field))
+        factors.append(base)
+        if right:
+            factors.append(SparseOperator.identity(right, kit.dim, kit.field))
+        op = tensor_chain(factors) if len(factors) > 1 else factors[0]
+        kit.cache[key] = op
+    return op
+
+
+def crossing_operator(kit: BraidingKit, index: int, sign: int, n: int) -> SparseOperator:
+    base = kit.braiding if sign > 0 else kit.braiding_inv
+    return _padded(kit, "braiding+" if sign > 0 else "braiding-", base, index, n)
+
+
+# --------------------------------------------------------------------------
 # Braiding property checks
-
-
-def _compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> CheckResult:
-    witness = lhs.diff_witness(rhs)
-    columns = lhs.dim ** lhs.in_rank
-    if witness is None:
-        return CheckResult(name, True, f"{columns} columns")
-    idx, residual = witness
-    return CheckResult(name, False, witness=idx, residual=residual)
 
 
 def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> ValidationReport:
@@ -188,33 +171,27 @@ def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> Valida
     Far commutation lives on X^8 and is only checked when the algebra
     dimension d satisfies d + 1 <= far_commutation_max_dim (size guard).
     """
-    pair = kit.pair
     dim, field = kit.dim, kit.field
     report = ValidationReport()
 
-    one2 = _identity_block(pair, 2)
-    left = kit.braiding.tensor(one2)    # braiding on pairs (1, 2)
-    right = one2.tensor(kit.braiding)   # braiding on pairs (2, 3)
-    lhs = compose_chain([left, right, left], cache=False)
-    rhs = compose_chain([right, left, right], cache=False)
-    report.add(_compare("ybe", lhs, rhs))
+    left, right = (crossing_operator(kit, i, 1, 3) for i in (1, 2))
+    report.add(compare("ybe", compose_chain([left, right, left]), compose_chain([right, left, right])))
 
     identity4 = SparseOperator.identity(4, dim, field)
-    report.add(_compare("braiding-invertible", op_compose(kit.braiding_inv, kit.braiding, cache=False), identity4))
+    report.add(compare("braiding-invertible", op_compose(kit.braiding_inv, kit.braiding, cache=False), identity4))
     identity2 = SparseOperator.identity(2, dim, field)
-    report.add(_compare("twist-invertible", op_compose(kit.twist_inv, kit.twist, cache=False), identity2))
+    report.add(compare("twist-invertible", op_compose(kit.twist_inv, kit.twist, cache=False), identity2))
 
-    twist_left = kit.twist.tensor(one2)
-    twist_right = one2.tensor(kit.twist)
+    twist_left, twist_right = (_padded(kit, "twist", kit.twist, i, 2) for i in (1, 2))
     report.add(
-        _compare(
+        compare(
             "slide-under",
             op_compose(kit.braiding, twist_left, cache=False),
             op_compose(twist_right, kit.braiding, cache=False),
         )
     )
     report.add(
-        _compare(
+        compare(
             "slide-over",
             op_compose(kit.braiding, twist_right, cache=False),
             op_compose(twist_left, kit.braiding, cache=False),
@@ -222,11 +199,9 @@ def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> Valida
     )
 
     if dim <= far_commutation_max_dim:
-        one4 = _identity_block(pair, 4)
-        far_left = kit.braiding.tensor(one4)
-        far_right = one4.tensor(kit.braiding)
+        far_left, far_right = (crossing_operator(kit, i, 1, 4) for i in (1, 3))
         report.add(
-            _compare(
+            compare(
                 "far-commutation",
                 op_compose(far_left, far_right, cache=False),
                 op_compose(far_right, far_left, cache=False),

@@ -175,6 +175,10 @@ def _cmd_invariant(args, out) -> int:
 
 def _cmd_markov(args, out) -> int:
     started = time.monotonic()
+    if args.trials < 1:
+        raise CliError(f"--trials must be >= 1, got {args.trials}")
+    if args.moves < 0:
+        raise CliError(f"--moves must be >= 0, got {args.moves}")
     spec = _resolve_algebra(args.algebra)
     word = _parse_word(args)
     kit = make_braiding_kit(spec)

@@ -8,8 +8,9 @@ left-to-right composition of its crossing letters, applied after the
 framing block twist^(t_1) (x) ... (x) twist^(t_n); the trace of that
 operator is the link invariant, streamed column by column.
 
-Padded generators and twist powers are memoized per kit, so repeated
-traces (the Markov harness) never rebuild them.
+Padded generators (built in the braiding module) and twist powers are
+memoized per kit, so repeated traces (the Markov harness) and the
+braiding checks never rebuild them.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import random
 import time
 from dataclasses import dataclass
 
-from .algebra import CheckResult, ValidationReport
-from .braiding import BraidingKit
+from .algebra import ValidationReport
+from .braiding import BraidingKit, _padded, crossing_operator
 from .braids import FramedBraidWord, MarkovTrace, normalize, random_markov_equivalent
 from .tensor import SparseOperator, compose_chain, tensor_chain
+from .tsd import compare
 
 
 class DimensionCapError(RuntimeError):
@@ -37,29 +39,6 @@ class InvariantResult:
     strands: int
     operator_dim: int
     timing_ms: int
-
-
-def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: int) -> SparseOperator:
-    """base acting on strand `strand` of n, identity elsewhere (memoized)."""
-    key = ("pad", name, strand, n)
-    op = kit.cache.get(key)
-    if op is None:
-        left = 2 * (strand - 1)
-        right = 2 * n - left - base.in_rank
-        factors = []
-        if left:
-            factors.append(SparseOperator.identity(left, kit.dim, kit.field))
-        factors.append(base)
-        if right:
-            factors.append(SparseOperator.identity(right, kit.dim, kit.field))
-        op = tensor_chain(factors) if len(factors) > 1 else factors[0]
-        kit.cache[key] = op
-    return op
-
-
-def crossing_operator(kit: BraidingKit, index: int, sign: int, n: int) -> SparseOperator:
-    base = kit.braiding if sign > 0 else kit.braiding_inv
-    return _padded(kit, "braiding+" if sign > 0 else "braiding-", base, index, n)
 
 
 def twist_power(kit: BraidingKit, exponent: int) -> SparseOperator:
@@ -129,14 +108,6 @@ def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -
 # Defining relations of the framed braid group, as operator identities
 
 
-def _compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> CheckResult:
-    witness = lhs.diff_witness(rhs)
-    if witness is None:
-        return CheckResult(name, True, f"{lhs.dim ** lhs.in_rank} columns")
-    idx, residual = witness
-    return CheckResult(name, False, witness=idx, residual=residual)
-
-
 def check_framed_braid_relations(kit: BraidingKit, n: int = 3) -> ValidationReport:
     """Braid relation, twist commutations and twist-crossing pushes on X^(2n)."""
     key = ("fb-relations", n)
@@ -148,7 +119,7 @@ def check_framed_braid_relations(kit: BraidingKit, n: int = 3) -> ValidationRepo
     tw = [_padded(kit, "twist", kit.twist, i, n) for i in range(1, n + 1)]
     for i in range(len(sigma) - 1):
         report.add(
-            _compare(
+            compare(
                 f"braid-relation[s{i + 1},s{i + 2}]",
                 compose_chain([sigma[i], sigma[i + 1], sigma[i]], cache=False),
                 compose_chain([sigma[i + 1], sigma[i], sigma[i + 1]], cache=False),
@@ -157,7 +128,7 @@ def check_framed_braid_relations(kit: BraidingKit, n: int = 3) -> ValidationRepo
     for i in range(n):
         for j in range(i + 1, n):
             report.add(
-                _compare(
+                compare(
                     f"twist-commute[t{i + 1},t{j + 1}]",
                     tw[i].compose(tw[j], cache=False),
                     tw[j].compose(tw[i], cache=False),
@@ -167,7 +138,7 @@ def check_framed_braid_relations(kit: BraidingKit, n: int = 3) -> ValidationRepo
         for j in range(1, n):
             image = j + 1 if i == j else j if i == j + 1 else i
             report.add(
-                _compare(
+                compare(
                     f"twist-push[t{i},s{j}]",
                     tw[i - 1].compose(sigma[j - 1], cache=False),
                     sigma[j - 1].compose(tw[image - 1], cache=False),

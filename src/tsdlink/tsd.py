@@ -85,59 +85,16 @@ def _embed(coeffs: dict) -> dict:
     return {(i,): c for i, c in coeffs.items()}
 
 
-def build_T(spec: AlgebraSpec) -> SparseOperator:
-    """The ternary self-distributive operator X^3 -> X on basis columns."""
-    ensure_validated(spec)
+def _ternary_map(spec: AlgebraSpec, single_sign) -> SparseOperator:
+    """X^3 -> X on basis columns; single-bracket terms scaled by single_sign.
+
+    single_sign is one for build_T and minus one for the binary-path
+    reversing partner; the ternary path has no single-bracket terms.
+    """
     from .algebra import bracket2  # local to keep module load light
 
     field = spec.field
     one = field.one
-    dim = spec.dim + 1
-
-    if spec.arity == 2:
-
-        def col(idx: tuple) -> dict:
-            i, j, k = idx
-            if i == 0:
-                return {(0,): one} if j == 0 and k == 0 else {}
-            if j == 0 and k == 0:
-                return {(i,): one}
-            ei = {i: one}
-            if k == 0:
-                return _embed(spec.bracket_basis((i, j)))
-            if j == 0:
-                return _embed(spec.bracket_basis((i, k)))
-            return _embed(bracket2(spec, bracket2(spec, ei, {j: one}), {k: one}))
-
-    else:
-
-        def col(idx: tuple) -> dict:
-            i, j, k = idx
-            if i == 0:
-                return {(0,): one} if j == 0 and k == 0 else {}
-            if j == 0 and k == 0:
-                return {(i,): one}
-            if j == 0 or k == 0:
-                return {}
-            return _embed(spec.bracket_basis((i, j, k)))
-
-    return SparseOperator(3, 1, dim, field, col)
-
-
-def build_T_tilde(spec: AlgebraSpec) -> SparseOperator:
-    """The reversing partner of build_T."""
-    ensure_validated(spec)
-    from .algebra import bracket2
-
-    field = spec.field
-    one = field.one
-    neg = field.neg
-    dim = spec.dim + 1
-
-    if spec.arity == 3:
-        # compose the forward map with the swap of the last two inputs
-        swap_last_two = SparseOperator.permutation((0, 2, 1), dim, field)
-        return op_compose(build_T(spec), swap_last_two)
 
     def col(idx: tuple) -> dict:
         i, j, k = idx
@@ -145,14 +102,32 @@ def build_T_tilde(spec: AlgebraSpec) -> SparseOperator:
             return {(0,): one} if j == 0 and k == 0 else {}
         if j == 0 and k == 0:
             return {(i,): one}
-        ei = {i: one}
-        if k == 0:
-            return _embed({l: neg(c) for l, c in spec.bracket_basis((i, j)).items()})
-        if j == 0:
-            return _embed({l: neg(c) for l, c in spec.bracket_basis((i, k)).items()})
-        return _embed(bracket2(spec, bracket2(spec, ei, {j: one}), {k: one}))
+        if spec.arity == 3:
+            return {} if j == 0 or k == 0 else _embed(spec.bracket_basis((i, j, k)))
+        if j == 0 or k == 0:
+            # exactly one of j, k is nonzero: c[x,y] or b[x,z]
+            single = spec.bracket_basis((i, j or k))
+            return _embed({l: field.mul(single_sign, c) for l, c in single.items()})
+        return _embed(bracket2(spec, bracket2(spec, {i: one}, {j: one}), {k: one}))
 
-    return SparseOperator(3, 1, dim, field, col)
+    return SparseOperator(3, 1, spec.dim + 1, field, col)
+
+
+def build_T(spec: AlgebraSpec) -> SparseOperator:
+    """The ternary self-distributive operator X^3 -> X on basis columns."""
+    ensure_validated(spec)
+    return _ternary_map(spec, spec.field.one)
+
+
+def build_T_tilde(spec: AlgebraSpec) -> SparseOperator:
+    """The reversing partner of build_T."""
+    ensure_validated(spec)
+    field = spec.field
+    if spec.arity == 3:
+        # compose the forward map with the swap of the last two inputs
+        swap_last_two = SparseOperator.permutation((0, 2, 1), spec.dim + 1, field)
+        return op_compose(build_T(spec), swap_last_two)
+    return _ternary_map(spec, field.neg(field.one))
 
 
 def build_q(spec: AlgebraSpec) -> SparseOperator:
@@ -208,19 +183,19 @@ def _tsd_sides(pair: TsdPair, outer: SparseOperator, inner: SparseOperator):
     return lhs, rhs
 
 
-def _compare(name: str, lhs: SparseOperator, rhs: SparseOperator, detail: str = "") -> CheckResult:
+def compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> CheckResult:
+    """Check lhs == rhs on every basis column; on failure report the first witness."""
     witness = lhs.diff_witness(rhs)
-    columns = lhs.dim ** lhs.in_rank
     if witness is None:
-        return CheckResult(name, True, detail or f"{columns} columns")
+        return CheckResult(name, True, f"{lhs.dim ** lhs.in_rank} columns")
     idx, residual = witness
-    return CheckResult(name, False, detail, witness=idx, residual=residual)
+    return CheckResult(name, False, witness=idx, residual=residual)
 
 
 def _check_tsd(pair: TsdPair, use_tilde: bool) -> CheckResult:
     m = pair.rev if use_tilde else pair.op
     lhs, rhs = _tsd_sides(pair, m, m)
-    return _compare("tsd-tilde" if use_tilde else "tsd", lhs, rhs)
+    return compare("tsd-tilde" if use_tilde else "tsd", lhs, rhs)
 
 
 def _check_coalgebra_morphism(pair: TsdPair) -> list[CheckResult]:
@@ -234,8 +209,8 @@ def _check_coalgebra_morphism(pair: TsdPair) -> list[CheckResult]:
     for label, m in (("", pair.op), ("~", pair.rev)):
         lhs = op_compose(d3, m, cache=False)
         rhs = compose_chain([tensor_chain([m, m, m]), route, tensor_chain([d3, d3, d3])], cache=False)
-        results.append(_compare(f"coalgebra-morphism{label}", lhs, rhs))
-        results.append(_compare(f"counit-compat{label}", op_compose(eps, m, cache=False), eps3))
+        results.append(compare(f"coalgebra-morphism{label}", lhs, rhs))
+        results.append(compare(f"counit-compat{label}", op_compose(eps, m, cache=False), eps3))
     return results
 
 
@@ -258,30 +233,21 @@ def _check_reversibility(pair: TsdPair) -> list[CheckResult]:
         perm = SparseOperator.permutation(route, dim, field)
         for pair_name, outer, inner in (("rev.fwd", pair.rev, pair.op), ("fwd.rev", pair.op, pair.rev)):
             lhs = compose_chain([outer, tensor_chain([inner, one1, one1]), perm, expand], cache=False)
-            results.append(_compare(f"reversibility[{pair_name},{order_name}]", lhs, target))
+            results.append(compare(f"reversibility[{pair_name},{order_name}]", lhs, target))
     return results
 
 
 def _check_mixed(pair: TsdPair) -> list[CheckResult]:
-    """Mixed distributivity of the map and its partner, (x, y, z) reading."""
-    results = []
-    for name, outer_lhs, outer_rhs in (
-        ("mixed[fwd-outer]", pair.op, pair.rev),
-        ("mixed[rev-outer]", pair.rev, pair.op),
-    ):
-        # LHS: outer_lhs(outer_rhs(x,y,z), u, v); RHS distributes outer_lhs
-        # inside over the three legs, with outer_rhs outside.
-        dim, field = pair.dim, pair.field
-        one1 = SparseOperator.identity(1, dim, field)
-        lhs = op_compose(outer_lhs, tensor_chain([outer_rhs, one1, one1]), cache=False)
-        route = SparseOperator.permutation(INTERLEAVE_9, dim, field)
-        expand = tensor_chain([one1, one1, one1, delta_op(3, dim, field), delta_op(3, dim, field)])
-        rhs = compose_chain(
-            [outer_rhs, tensor_chain([outer_lhs, outer_lhs, outer_lhs]), route, expand],
-            cache=False,
-        )
-        results.append(_compare(name, lhs, rhs))
-    return results
+    """Mixed distributivity of the map and its partner, (x, y, z) reading.
+
+    LHS: a(b(x,y,z), u, v); RHS distributes a inside over the three legs,
+    with b outside -- the self-distributivity diagram with different
+    outer maps on its two sides.
+    """
+    return [
+        compare(name, _tsd_sides(pair, a, b)[0], _tsd_sides(pair, b, a)[1])
+        for name, a, b in (("mixed[fwd-outer]", pair.op, pair.rev), ("mixed[rev-outer]", pair.rev, pair.op))
+    ]
 
 
 def _check_q_self_distributive(pair: TsdPair) -> list[CheckResult]:
@@ -300,8 +266,8 @@ def _check_q_self_distributive(pair: TsdPair) -> list[CheckResult]:
         ],
         cache=False,
     )
-    results = [_compare("q-self-distributive", lhs, rhs)]
-    results.append(_compare("tsd-is-nested-q", pair.op, lhs))
+    results = [compare("q-self-distributive", lhs, rhs)]
+    results.append(compare("tsd-is-nested-q", pair.op, lhs))
     return results
 
 

@@ -244,6 +244,23 @@ def test_load_algebra_schema_errors():
         load_algebra(bad)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.update(brackets=5), "brackets must be a list"),
+        (lambda doc: doc.update(brackets=[5]), "brackets must be a list"),
+        (lambda doc: doc["brackets"][0].update(value=[3]), "value must be a list"),
+        (lambda doc: doc["brackets"][0].update(value=3), "value must be a list"),
+    ],
+    ids=["brackets-int", "bracket-entry-int", "value-term-int", "value-int"],
+)
+def test_load_algebra_rejects_malformed_brackets(edit, message):
+    doc = dump_algebra(algebra("sl2"))
+    edit(doc)
+    with pytest.raises(AlgebraError, match=message):
+        load_algebra(doc)
+
+
 def test_dump_load_round_trip_all_builtins():
     for name, dim in BUNDLED:
         spec = algebra(name, dim)

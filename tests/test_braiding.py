@@ -7,7 +7,10 @@ from tsdlink.braiding import (
     build_twist,
     build_twist_inverse,
     check_braiding,
+    crossing_operator,
+    make_braiding_kit,
 )
+from tsdlink.invariant import check_framed_braid_relations
 from tsdlink.tensor import SparseOperator, iter_indices, op_compose
 from tsdlink.tsd import TsdPair, build_T_tilde
 
@@ -71,6 +74,16 @@ def test_far_commutation_guard():
     report = check_braiding(kit("sl2"))
     far = [r for r in report.results if r.name == "far-commutation"][0]
     assert far.ok and "skipped" in far.detail
+
+
+def test_checks_share_padded_crossings():
+    k = make_braiding_kit(tsd_pair("sl2"))  # fresh kit: empty cache
+    check_braiding(k)
+    sigma = [crossing_operator(k, i, 1, 3) for i in (1, 2)]
+    # the braid equation evaluated these memoized operators, not copies
+    assert all(s._cols for s in sigma)
+    check_framed_braid_relations(k)
+    assert all(crossing_operator(k, i, 1, 3) is s for i, s in zip((1, 2), sigma))
 
 
 def _tampered_pair(name, flip="nested"):

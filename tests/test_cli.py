@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from tsdlink.cli import run_cli
 from tsdlink.fields import RATIONALS
 
@@ -54,6 +56,18 @@ def test_malformed_json_is_usage_error(tmp_path):
     path.write_text("{not json")
     code, _ = run(["validate", str(path)])
     assert code == 2
+
+
+def test_malformed_brackets_are_usage_errors(tmp_path, capsys):
+    from tsdlink.algebra import builtin_algebra, dump_algebra
+
+    doc = dump_algebra(builtin_algebra("sl2"))
+    doc["brackets"] = [5]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["validate", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: brackets must be a list of {args, value} objects\n"
 
 
 def test_check_ybe_nambu4():
@@ -122,6 +136,13 @@ def test_markov_command():
     )
     assert code == 0
     assert "3/3 trials matched the base trace" in text
+
+
+@pytest.mark.parametrize("option,value,bound", [("--trials", "0", ">= 1"), ("--moves", "-1", ">= 0")])
+def test_markov_bad_counts_are_usage_errors(option, value, bound, capsys):
+    code, text = run(["markov", "sl2", "--strands", "2", "--word", "s1", option, value])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {option} must be {bound}, got {value}\n"
 
 
 def test_markov_stabilize_deterministic():

@@ -134,7 +134,8 @@ def test_framed_braid_relations():
 def test_normalize_preserves_represented_operator():
     # letterwise operator of the raw word == operator of its normal form;
     # this is the oracle that pins the twist-push convention
-    from tsdlink.invariant import _padded, crossing_operator, twist_power
+    from tsdlink.braiding import _padded, crossing_operator
+    from tsdlink.invariant import twist_power
     from tsdlink.tensor import compose_chain
 
     k = kit("sl2")

@@ -128,6 +128,16 @@ def test_sign_flip_breaks_tsd_with_witness(flip):
     assert failure.residual
 
 
+@pytest.mark.parametrize("flip,residual", [("cxy", {(1,): 8}), ("bxz", {(1,): 8}), ("nested", {(1,): -8})])
+def test_sign_flip_breaks_mixed_with_frozen_witness(flip, residual):
+    spec = algebra("sl2")
+    tampered = TsdPair(spec, _sign_flipped_T(spec, flip), build_T_tilde(spec), "binary-composed")
+    report = check_tsd_properties(tampered, ["mixed"])
+    assert [(r.name, r.ok) for r in report.results] == [("mixed[fwd-outer]", False), ("mixed[rev-outer]", True)]
+    failure = report.failures[0]
+    assert (failure.witness, failure.residual) == ((1, 0, 2, 1, 3), residual)
+
+
 def test_tsd_equals_nested_q_columnwise():
     for name in ("heisenberg3", "so3", "sl2"):
         spec = algebra(name)
