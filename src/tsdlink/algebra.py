@@ -225,10 +225,20 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
     return report
 
 
+def _fingerprint(spec: AlgebraSpec) -> tuple:
+    """Everything validation reads, so a mark made before an edit goes stale."""
+    structure = tuple(sorted((key, tuple(sorted(coeffs.items()))) for key, coeffs in spec.structure.items()))
+    return spec.arity, spec.dim, spec.field, structure
+
+
 def ensure_validated(spec: AlgebraSpec) -> None:
-    """Raise unless the spec satisfies its defining identity (memoized)."""
-    flag = getattr(spec, "_validated", None)
-    if flag is True:
+    """Raise unless the spec satisfies its defining identity.
+
+    Memoized on the spec's content: an edit to its structure constants after
+    a successful validation triggers a new one.
+    """
+    fingerprint = _fingerprint(spec)
+    if getattr(spec, "_validated", None) == fingerprint:
         return
     report = validate_algebra(spec)
     if not report.passed:
@@ -236,7 +246,7 @@ def ensure_validated(spec: AlgebraSpec) -> None:
         raise AlgebraError(
             f"algebra {spec.name!r} fails {failure.name} at {failure.witness}: residual {failure.residual}"
         )
-    object.__setattr__(spec, "_validated", True)
+    object.__setattr__(spec, "_validated", fingerprint)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,13 @@ instead of corrupting invariants downstream.  The leg routes of the
 inverse operators are path-dependent (see tsd module docstring): the
 reversing partner of the ternary path absorbs a swap, so its undo
 identities carry the outer legs in straight rather than reversed order.
+
+On X^(2n) a generator is padded leg-locally: the braiding's (or a twist
+power's) leg table, memoized once per kit under the generator's name, acts
+on the legs of its strands and nothing is stored for the other legs.  The
+padded operators are memoized per kit too and keep no column cache, so the
+property checks, the framed-braid relations and the trace share them
+without filling memory.
 """
 
 from __future__ import annotations
@@ -22,9 +29,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import AlgebraSpec, CheckResult, ValidationReport
 from .tensor import (
+    LegLocalOperator,
     SparseOperator,
     compose_chain,
     delta_op,
+    leg_table,
     op_compose,
     tensor_chain,
 )
@@ -58,7 +67,7 @@ class BraidingKit:
     braiding_inv: SparseOperator   # X^4 -> X^4
     twist: SparseOperator          # X^2 -> X^2
     twist_inv: SparseOperator      # X^2 -> X^2
-    # memo for padded generator operators, twist powers, relation reports
+    # memo for leg tables, padded generators, twist powers, relation reports
     cache: dict = dataclass_field(default_factory=dict, repr=False)
 
     @property
@@ -138,20 +147,19 @@ def make_braiding_kit(source: AlgebraSpec | TsdPair) -> BraidingKit:
 # relations and the trace
 
 
-def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: int) -> SparseOperator:
-    """base acting on strand `strand` of n, identity elsewhere (memoized)."""
+def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: int) -> LegLocalOperator:
+    """base on the legs of strand `strand` onward, of n strands; identity elsewhere.
+
+    The leg table of `base` is memoized in the kit under `name`, and so is
+    the padded operator, which holds only a reference to that table.
+    """
     key = ("pad", name, strand, n)
     op = kit.cache.get(key)
     if op is None:
-        left = 2 * (strand - 1)
-        right = 2 * n - left - base.in_rank
-        factors = []
-        if left:
-            factors.append(SparseOperator.identity(left, kit.dim, kit.field))
-        factors.append(base)
-        if right:
-            factors.append(SparseOperator.identity(right, kit.dim, kit.field))
-        op = tensor_chain(factors) if len(factors) > 1 else factors[0]
+        rows = kit.cache.get(("table", name))
+        if rows is None:
+            rows = kit.cache[("table", name)] = leg_table(base)
+        op = LegLocalOperator.padded(rows, base.in_rank, 2 * (strand - 1), 2 * n, kit.dim, kit.field)
         kit.cache[key] = op
     return op
 

@@ -1,16 +1,16 @@
 """Framed braid group representation on X^(2n) and the trace invariant.
 
 Each strand occupies a pair of tensor factors.  A crossing generator on
-strands (i, i+1) acts by the braiding padded with identities (2(i-1)
-factors on the left, 2(n-i-1) on the right); a framing twist on strand i
-acts by the twist on that strand's pair.  A normalized word maps to the
-left-to-right composition of its crossing letters, applied after the
-framing block twist^(t_1) (x) ... (x) twist^(t_n); the trace of that
-operator is the link invariant, streamed column by column.
+strands (i, i+1) acts by the braiding on legs 2(i-1) .. 2i+1; a framing
+twist on strand i acts by the twist on that strand's pair.  A normalized
+word maps to one leg-local word (see the tensor module): its crossing
+letters composed left to right, applied after one twist^(t_i) step per
+framed strand.  The trace of that operator is the link invariant, streamed
+column by column; no column of it or of its generators is cached.
 
-Padded generators (built in the braiding module) and twist powers are
-memoized per kit, so repeated traces (the Markov harness) and the
-braiding checks never rebuild them.
+Padded generators and their leg tables (built in the braiding module) and
+twist powers are memoized per kit, so repeated traces (the Markov harness)
+and the braiding checks never rebuild them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebra import ValidationReport
 from .braiding import BraidingKit, _padded, crossing_operator
 from .braids import FramedBraidWord, MarkovTrace, normalize, random_markov_equivalent
-from .tensor import SparseOperator, compose_chain, tensor_chain
+from .tensor import SparseOperator, compose_chain
 from .tsd import compare
 
 
@@ -42,31 +42,26 @@ class InvariantResult:
 
 
 def twist_power(kit: BraidingKit, exponent: int) -> SparseOperator:
-    """twist^exponent on X^2, materialized and memoized."""
+    """twist^exponent on X^2, materialized and memoized per exponent."""
     key = ("twistpow", exponent)
-    op = kit.cache.get(key)
-    if op is None:
-        if exponent == 0:
-            op = SparseOperator.identity(2, kit.dim, kit.field)
-        else:
-            base = kit.twist if exponent > 0 else kit.twist_inv
-            step = exponent - 1 if exponent > 0 else exponent + 1
-            op = base.compose(twist_power(kit, step), cache=False).materialized() if step else base
+    if key not in kit.cache:
+        sign = 1 if exponent > 0 else -1
+        base = kit.twist if sign > 0 else kit.twist_inv
+        op = SparseOperator.identity(2, kit.dim, kit.field)
+        for e in range(sign, exponent + sign, sign):
+            if ("twistpow", e) not in kit.cache:
+                kit.cache[("twistpow", e)] = base if e == sign else base.compose(op, cache=False).materialized()
+            op = kit.cache[("twistpow", e)]
         kit.cache[key] = op
-    return op
-
-
-def framing_block(kit: BraidingKit, framings: tuple[int, ...]) -> SparseOperator:
-    key = ("framing-block", framings)
-    op = kit.cache.get(key)
-    if op is None:
-        op = tensor_chain([twist_power(kit, f) for f in framings])
-        kit.cache[key] = op
-    return op
+    return kit.cache[key]
 
 
 def representation(kit: BraidingKit, word: FramedBraidWord) -> SparseOperator:
-    """The operator on X^(2n) represented by a normalized framed word."""
+    """The operator on X^(2n) represented by a normalized framed word.
+
+    One leg-local word: the crossing letters left to right, after one
+    twist-power step per framed strand.
+    """
     if not word.is_normalized:
         raise ValueError("word is not normalized; call normalize() first")
     n = word.strands
@@ -74,8 +69,13 @@ def representation(kit: BraidingKit, word: FramedBraidWord) -> SparseOperator:
     for kind, index, exp in word.letters:
         gen = crossing_operator(kit, index, 1 if exp > 0 else -1, n)
         ops.extend([gen] * abs(exp))
-    if any(word.framings):
-        ops.append(framing_block(kit, word.framings))
+    # the last op is applied first; strand 1's twist first keeps column entries
+    # in the order of the product twist^(t_1) (x) ... (x) twist^(t_n)
+    ops.extend(
+        _padded(kit, f"tw{f}", twist_power(kit, f), strand, n)
+        for strand, f in reversed(list(enumerate(word.framings, 1)))
+        if f
+    )
     if not ops:
         return SparseOperator.identity(2 * n, kit.dim, kit.field)
     return compose_chain(ops, cache=False)
@@ -88,7 +88,7 @@ def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -
     if operator_dim > cap:
         raise DimensionCapError(
             f"operator dimension {operator_dim} exceeds cap {cap}; "
-            "consider a prime field, fewer strands, or a larger --cap"
+            "the cap bounds the columns the trace visits; use fewer strands or a larger --cap"
         )
     start = time.monotonic()
     value = representation(kit, word).trace()

@@ -12,6 +12,13 @@ computed on first use and optionally cached, so composites and tensor
 powers never materialize entries that nothing asks for; the trace streams
 column by column.
 
+An operator that acts on a few consecutive legs of a large tensor power
+(a braid generator on X^(2n)) is a ``LegLocalOperator``: its only stored
+entries are the ``leg_table`` of the small operator, applied to the legs'
+digits of a base-(d+1) integer key, and composing two of one rank
+concatenates their steps.  ``tensor``/``tensor_chain`` build the kit's
+operators and the TSD identities.
+
 Permutations act in the push convention: applying ``perm`` routes input
 factor i to output slot perm[i] (0-based).  Every leg-routing table in the
 higher layers is written in this one convention.
@@ -22,6 +29,7 @@ Tensors and operators are immutable by contract; column dicts returned by
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -351,6 +359,102 @@ def compose_chain(ops: Iterable[SparseOperator], cache: bool = False) -> SparseO
     for op in reversed(ops[:-1]):
         out = op.compose(out, cache=cache)
     return out
+
+
+def leg_table(base: SparseOperator) -> tuple:
+    """A square operator on X^k as rows over the integer keys of its legs.
+
+    The key of an index tuple is its value in base dim, first leg most
+    significant, so row ``loc`` is the column of the loc-th index tuple in
+    ``iter_indices`` order: ``rows[loc] = ((out_loc - loc, value), ...)``.
+    """
+    if base.in_rank != base.out_rank:
+        raise ValueError("a leg table needs in_rank == out_rank")
+    keys = {idx: loc for loc, idx in enumerate(iter_indices(base.dim, base.in_rank))}
+    zero = base.field.zero
+    return tuple(
+        tuple((keys[out] - loc, v) for out, v in base.column(idx).items() if v != zero) for idx, loc in keys.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _codec(dim: int, rank: int) -> tuple:
+    """(hi, lo, split): the index tuple of key k is hi[k // split] + lo[k % split]."""
+    low = rank // 2
+    return list(iter_indices(dim, rank - low)), list(iter_indices(dim, low)), dim**low
+
+
+def _leg_local_column(steps: tuple, dim: int, field: Field, idx: tuple) -> dict:
+    """The column of a ``LegLocalOperator`` with these steps at idx."""
+    one = field.one
+    key = 0
+    for i in idx:
+        key = key * dim + i
+    # one term (key, c) until a row has more than one entry, then a dict
+    c, cur = one, None
+    for rows, stride, width in steps:
+        if cur is None:
+            row = rows[key // stride % width]
+            if len(row) == 1:
+                delta, v = row[0]
+                key += delta * stride
+                c = v if c == one else field.mul(c, v)
+                continue
+            cur = {key + delta * stride: v if c == one else field.mul(c, v) for delta, v in row}
+            continue
+        nxt: dict = {}
+        for key, c in cur.items():
+            for delta, v in rows[key // stride % width]:
+                out = key + delta * stride
+                if c != one:
+                    v = field.mul(c, v)
+                prev = nxt.get(out)
+                if prev is None:
+                    nxt[out] = v
+                else:
+                    s = field.add(prev, v)
+                    if s == field.zero:
+                        del nxt[out]
+                    else:
+                        nxt[out] = s
+        cur = nxt
+    hi, lo, split = _codec(dim, len(idx))
+    if cur is None:
+        return {hi[key // split] + lo[key % split]: c}
+    return {hi[key // split] + lo[key % split]: v for key, v in cur.items()}
+
+
+class LegLocalOperator(SparseOperator):
+    """A word of leg-local steps on X^rank, identity on every leg a step skips.
+
+    Each step ``(rows, stride, width)`` applies a ``leg_table`` to the
+    ``width = dim**k`` keys of k consecutive legs whose lowest leg has place
+    value ``stride``.  A column encodes its index tuple once, runs every step
+    on the integer keys, and decodes the image once.  Columns are never
+    cached: the tables are the only stored entries.
+    """
+
+    __slots__ = ("steps",)
+
+    def __init__(self, rank: int, dim: int, field: Field, steps: tuple):
+        # a column function that holds no reference to self, so that dropping
+        # the operator frees it at once rather than at the next cycle collection
+        super().__init__(rank, rank, dim, field, partial(_leg_local_column, steps, dim, field), cache=False)
+        self.steps = steps  # in the order they are applied
+
+    @classmethod
+    def padded(cls, rows: tuple, legs: int, offset: int, rank: int, dim: int, field: Field) -> "LegLocalOperator":
+        """The table ``rows`` of a legs-leg operator on legs offset.. of X^rank."""
+        if not 0 <= offset <= rank - legs:
+            raise ValueError(f"{legs} legs from leg {offset} do not fit in rank {rank}")
+        return cls(rank, dim, field, ((rows, dim ** (rank - offset - legs), dim**legs),))
+
+    def compose(self, other: SparseOperator, cache: bool = True) -> SparseOperator:
+        """self . other; two leg-local words of one rank concatenate their steps."""
+        if isinstance(other, LegLocalOperator) and (other.in_rank, other.dim) == (self.in_rank, self.dim):
+            require_same_field(self.field, other.field)
+            return LegLocalOperator(self.in_rank, self.dim, self.field, other.steps + self.steps)
+        return super().compose(other, cache=cache)
 
 
 def tensor_chain(ops: Iterable[SparseOperator], cache: bool = True) -> SparseOperator:

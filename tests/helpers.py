@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import cache
 
 from tsdlink import builtin_algebra, make_braiding_kit, make_tsd_pair
+from tsdlink.tensor import SparseOperator, iter_indices
 
 # (name, dim) pairs of the bundled algebras
 BUNDLED = (
@@ -32,3 +33,20 @@ def tsd_pair(name, dim=None, arity=2):
 @cache
 def kit(name, dim=None, arity=2):
     return make_braiding_kit(tsd_pair(name, dim, arity))
+
+
+def padded_reference(kit, base, strand, n):
+    """identity (x) base (x) identity on X^(2n), built with SparseOperator.tensor."""
+    left = 2 * (strand - 1)
+    right = 2 * n - left - base.in_rank
+    op = base
+    if left:
+        op = SparseOperator.identity(left, kit.dim, kit.field).tensor(op)
+    if right:
+        op = op.tensor(SparseOperator.identity(right, kit.dim, kit.field))
+    return op
+
+
+def same_columns(a, b):
+    """Equal columns with equal entry order (the order failure residuals print in)."""
+    return all(list(a.column(i).items()) == list(b.column(i).items()) for i in iter_indices(a.dim, a.in_rank))

@@ -289,3 +289,14 @@ def test_prime_field_algebra_validates():
     report = validate_algebra(spec)
     assert report.passed
     assert bracket2(spec, {1: 1}, {3: 1}) == {3: 5}  # -2 mod 7
+
+
+def test_validation_mark_follows_spec_content():
+    from tsdlink.tsd import make_tsd_pair
+
+    spec = builtin_algebra("sl2")
+    make_tsd_pair(spec)  # validates and marks the spec
+    spec.structure[(1, 2)] = {2: 3}
+    assert not validate_algebra(spec).passed
+    with pytest.raises(AlgebraError, match="jacobi"):
+        make_tsd_pair(spec)

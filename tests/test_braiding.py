@@ -1,7 +1,8 @@
 import pytest
 
-from helpers import BUNDLED, algebra, kit, tsd_pair
+from helpers import BUNDLED, algebra, kit, padded_reference, same_columns, tsd_pair
 from tsdlink.braiding import (
+    _padded,
     build_braiding,
     build_braiding_inverse,
     build_twist,
@@ -10,8 +11,9 @@ from tsdlink.braiding import (
     crossing_operator,
     make_braiding_kit,
 )
-from tsdlink.invariant import check_framed_braid_relations
-from tsdlink.tensor import SparseOperator, iter_indices, op_compose
+from tsdlink.braids import parse_braid_word
+from tsdlink.invariant import check_framed_braid_relations, trace_invariant, twist_power
+from tsdlink.tensor import LegLocalOperator, SparseOperator, iter_indices, op_compose
 from tsdlink.tsd import TsdPair, build_T_tilde
 
 # frozen by the dense oracle (see test_oracle.py); basis order (b0, h, e, f)
@@ -79,11 +81,29 @@ def test_far_commutation_guard():
 def test_checks_share_padded_crossings():
     k = make_braiding_kit(tsd_pair("sl2"))  # fresh kit: empty cache
     check_braiding(k)
-    sigma = [crossing_operator(k, i, 1, 3) for i in (1, 2)]
-    # the braid equation evaluated these memoized operators, not copies
-    assert all(s._cols for s in sigma)
+    # the braid equation memoized these operators; the relations get the same objects
+    sigma = [k.cache[("pad", "braiding+", i, 3)] for i in (1, 2)]
     check_framed_braid_relations(k)
     assert all(crossing_operator(k, i, 1, 3) is s for i, s in zip((1, 2), sigma))
+    trace_invariant(k, parse_braid_word("s1 s2^-1 t3^2", 3))
+    operators = [op for op in k.cache.values() if isinstance(op, SparseOperator)]
+    padded = [op for key, op in k.cache.items() if key[0] == "pad"]
+    assert padded and all(isinstance(op, LegLocalOperator) and not op._cols for op in padded)
+    assert not [op for op in operators if op.in_rank > 4 and op._cols]
+
+
+@pytest.mark.parametrize("name,n", [("sl2", 2), ("sl2", 3), ("nambu4", 2)])
+def test_padded_generators_match_tensor_padding(name, n):
+    k = kit(name)
+    for strand in range(1, n):
+        for sign, base in ((1, k.braiding), (-1, k.braiding_inv)):
+            op = crossing_operator(k, strand, sign, n)
+            assert same_columns(padded_reference(k, base, strand, n), op), (strand, sign)
+    for strand in range(1, n + 1):
+        for exp in (1, -1, 2):
+            base = twist_power(k, exp)
+            op = _padded(k, f"tw{exp}", base, strand, n)
+            assert same_columns(padded_reference(k, base, strand, n), op), (strand, exp)
 
 
 def _tampered_pair(name, flip="nested"):

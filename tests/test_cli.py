@@ -99,6 +99,21 @@ def test_invariant_with_framings():
     assert "value: 16" in text
 
 
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["sl2", "--strands", "1", "--word", "", "--framings", "1200"], "16"),
+        (["sl2", "--strands", "2", "--word", "s1^600"], "256"),
+    ],
+    ids=["framing-1200", "s1^600"],
+)
+def test_invariant_deep_words(argv, value):
+    # one twist power per unit of framing and one step per crossing, no recursion
+    code, text = run(["invariant", *argv])
+    assert code == 0
+    assert f"value: {value}" in text
+
+
 def test_invariant_framings_length_guard():
     code, _ = run(["invariant", "sl2", "--strands", "2", "--word", "s1", "--framings", "1"])
     assert code == 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import kit
+from helpers import kit, padded_reference, same_columns
 from tsdlink.braids import FramedBraidWord, cycle_count, normalize, parse_braid_word, underlying_permutation
 from tsdlink.fields import PrimeField
 from tsdlink.invariant import (
@@ -150,6 +150,28 @@ def test_normalize_preserves_represented_operator():
                 ops.append(_padded(k, f"tw{exp}", twist_power(k, exp), index, n))
         letterwise = compose_chain(ops, cache=False)
         assert letterwise.equals(representation(k, normalize(word))), text
+
+
+@pytest.mark.parametrize(
+    "name,text,n",
+    [
+        ("sl2", "s1 s2^-1 s1^2 t1 t2^-2", 3),
+        ("sl2", "s2^-1 s1 t3^3", 3),
+        ("nambu4", "s1^-1 t1 t2^-1 s1", 2),
+    ],
+)
+def test_representation_matches_tensor_padding(name, text, n):
+    from tsdlink.invariant import twist_power
+    from tsdlink.tensor import compose_chain, tensor_chain
+
+    k = kit(name)
+    word = normalize(parse_braid_word(text, n))
+    ops = []
+    for kind, index, exp in word.letters:
+        base = k.braiding if exp > 0 else k.braiding_inv
+        ops.extend([padded_reference(k, base, index, n)] * abs(exp))
+    ops.append(tensor_chain([twist_power(k, f) for f in word.framings]))
+    assert same_columns(compose_chain(ops, cache=False), representation(k, word)), text
 
 
 def test_normalize_two_pushes_frozen_framings():
