@@ -15,23 +15,27 @@ inverse operators are path-dependent (see tsd module docstring): the
 reversing partner of the ternary path absorbs a swap, so its undo
 identities carry the outer legs in straight rather than reversed order.
 
-On X^(2n) a generator is padded leg-locally: the braiding's (or a twist
-power's) leg table, memoized once per kit under the generator's name, acts
-on the legs of its strands and nothing is stored for the other legs.  The
-padded operators are memoized per kit too and keep no column cache, so the
-property checks, the framed-braid relations and the trace share them
-without filling memory.
+On X^(2n) a generator is padded leg-locally: the leg table of a power of
+the braiding or the twist (squared up by ``power``), memoized once per kit
+under the generator's name, acts on the legs of its strands and nothing is
+stored for the other legs.  The padded operators are memoized per kit too
+and keep no column cache, so the property checks, the framed-braid
+relations and the trace share them without filling memory.  The graded
+table beside each leg table is built by the first trace that uses it and
+asserts the filtration that ``check_braiding`` reports as ``filtration``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache, partial
 
 from .algebra import AlgebraSpec, CheckResult, ValidationReport
 from .tensor import (
     LegLocalOperator,
     SparseOperator,
     compose_chain,
+    degree_raise,
     delta_op,
     leg_table,
     op_compose,
@@ -151,7 +155,8 @@ def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: i
     """base on the legs of strand `strand` onward, of n strands; identity elsewhere.
 
     The leg table of `base` is memoized in the kit under `name`, and so is
-    the padded operator, which holds only a reference to that table.
+    the padded operator, which holds only a reference to that table, and a
+    memoized builder of its graded table, which a trace calls first.
     """
     key = ("pad", name, strand, n)
     op = kit.cache.get(key)
@@ -159,25 +164,64 @@ def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: i
         rows = kit.cache.get(("table", name))
         if rows is None:
             rows = kit.cache[("table", name)] = leg_table(base)
-        op = LegLocalOperator.padded(rows, base.in_rank, 2 * (strand - 1), 2 * n, kit.dim, kit.field)
+            kit.cache[("graded", name)] = lru_cache(maxsize=None)(partial(leg_table, base, graded=True))
+        graded = kit.cache[("graded", name)]
+        op = LegLocalOperator.padded(rows, graded, base.in_rank, 2 * (strand - 1), 2 * n, kit.dim, kit.field)
         kit.cache[key] = op
     return op
 
 
-def crossing_operator(kit: BraidingKit, index: int, sign: int, n: int) -> SparseOperator:
-    base = kit.braiding if sign > 0 else kit.braiding_inv
-    return _padded(kit, "braiding+" if sign > 0 else "braiding-", base, index, n)
+def power(kit: BraidingKit, name: str, exponent: int) -> SparseOperator:
+    """kit.<name> ("braiding" or "twist") to a power (of the inverse if negative), by squaring.
+
+    Memoized per kit with the powers it is squared from: O(log |e|) operators.
+    """
+    sign = 1 if exponent >= 0 else -1
+    unit = op = getattr(kit, name if sign > 0 else f"{name}_inv")
+    if not exponent:
+        return SparseOperator.identity(unit.in_rank, kit.dim, kit.field)
+    prefix = 1
+    for bit in bin(abs(exponent))[3:]:
+        prefix = 2 * prefix + (bit == "1")
+        key = ("pow", name, sign * prefix)
+        if key not in kit.cache:
+            op = op.compose(op, cache=False)
+            kit.cache[key] = (unit.compose(op, cache=False) if bit == "1" else op).materialized()
+        op = kit.cache[key]
+    return op
+
+
+def padded_power(kit: BraidingKit, name: str, exponent: int, strand: int, n: int) -> LegLocalOperator:
+    """kit.<name>^exponent on the legs of strand `strand` onward, of n strands, as one step."""
+    label = {1: f"{name}+", -1: f"{name}-"}.get(exponent, f"{name}^{exponent}")
+    return _padded(kit, label, power(kit, name, exponent), strand, n)
+
+
+def crossing_operator(kit: BraidingKit, index: int, exponent: int, n: int) -> LegLocalOperator:
+    """sigma_index^exponent on X^(2n), as one leg-local step."""
+    return padded_power(kit, "braiding", exponent, index, n)
 
 
 # --------------------------------------------------------------------------
 # Braiding property checks
 
 
+def _check_filtration(kit: BraidingKit) -> CheckResult:
+    """R, R^-1, theta and theta^-1 never raise the L-degree (the test graded tables assert)."""
+    generators = (kit.braiding, kit.braiding_inv, kit.twist, kit.twist_inv)
+    for label, op in zip(("braiding", "braiding-inverse", "twist", "twist-inverse"), generators):
+        if witness := degree_raise(op):
+            return CheckResult("filtration", False, label, witness, {witness[1]: op.column(witness[0])[witness[1]]})
+    return CheckResult("filtration", True, f"{sum(op.dim ** op.in_rank for op in generators)} columns")
+
+
 def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> ValidationReport:
-    """Braid equation, inverse identities, slide identities, far commutation.
+    """Braid equation, inverse identities, filtration, slide identities, far commutation.
 
     Far commutation lives on X^8 and is only checked when the algebra
     dimension d satisfies d + 1 <= far_commutation_max_dim (size guard).
+    The filtration check asserts what the trace relies on: each generator is
+    its degree-preserving part plus terms of strictly lower L-degree.
     """
     dim, field = kit.dim, kit.field
     report = ValidationReport()
@@ -189,8 +233,9 @@ def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> Valida
     report.add(compare("braiding-invertible", op_compose(kit.braiding_inv, kit.braiding, cache=False), identity4))
     identity2 = SparseOperator.identity(2, dim, field)
     report.add(compare("twist-invertible", op_compose(kit.twist_inv, kit.twist, cache=False), identity2))
+    report.add(_check_filtration(kit))
 
-    twist_left, twist_right = (_padded(kit, "twist", kit.twist, i, 2) for i in (1, 2))
+    twist_left, twist_right = (padded_power(kit, "twist", 1, i, 2) for i in (1, 2))
     report.add(
         compare(
             "slide-under",

@@ -145,7 +145,7 @@ def _cmd_check(args, out) -> int:
         if prop in ("ybe", "slide", "all"):
             braiding_report = check_braiding(kit)
             keep = {
-                "ybe": ("ybe", "braiding-invertible", "twist-invertible", "far-commutation"),
+                "ybe": ("ybe", "braiding-invertible", "twist-invertible", "filtration", "far-commutation"),
                 "slide": ("slide-under", "slide-over"),
             }
             for r in braiding_report.results:

@@ -5,12 +5,13 @@ strands (i, i+1) acts by the braiding on legs 2(i-1) .. 2i+1; a framing
 twist on strand i acts by the twist on that strand's pair.  A normalized
 word maps to one leg-local word (see the tensor module): its crossing
 letters composed left to right, applied after one twist^(t_i) step per
-framed strand.  The trace of that operator is the link invariant, streamed
-column by column; no column of it or of its generators is cached.
+framed strand.  The trace of that operator is the link invariant; it runs
+over integer keys through the graded tables only, which is exact because
+every generator is filtered (see the tensor module), and caches no column.
 
-Padded generators and their leg tables (built in the braiding module) and
-twist powers are memoized per kit, so repeated traces (the Markov harness)
-and the braiding checks never rebuild them.
+Padded generators, their leg and graded tables (built in the braiding
+module) and generator powers are memoized per kit, so repeated traces (the
+Markov harness) and the braiding checks never rebuild them.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import time
 from dataclasses import dataclass
 
 from .algebra import ValidationReport
-from .braiding import BraidingKit, _padded, crossing_operator
+from .braiding import BraidingKit, crossing_operator, padded_power, power
 from .braids import FramedBraidWord, MarkovTrace, normalize, random_markov_equivalent
-from .tensor import SparseOperator, compose_chain
+from .tensor import LegLocalOperator, SparseOperator, compose_chain
 from .tsd import compare
 
 
@@ -42,43 +43,36 @@ class InvariantResult:
 
 
 def twist_power(kit: BraidingKit, exponent: int) -> SparseOperator:
-    """twist^exponent on X^2, materialized and memoized per exponent."""
-    key = ("twistpow", exponent)
-    if key not in kit.cache:
-        sign = 1 if exponent > 0 else -1
-        base = kit.twist if sign > 0 else kit.twist_inv
-        op = SparseOperator.identity(2, kit.dim, kit.field)
-        for e in range(sign, exponent + sign, sign):
-            if ("twistpow", e) not in kit.cache:
-                kit.cache[("twistpow", e)] = base if e == sign else base.compose(op, cache=False).materialized()
-            op = kit.cache[("twistpow", e)]
-        kit.cache[key] = op
-    return kit.cache[key]
+    """twist^exponent on X^2, by squaring and memoized per kit (see braiding.power)."""
+    return power(kit, "twist", exponent)
 
 
-def representation(kit: BraidingKit, word: FramedBraidWord) -> SparseOperator:
+def representation(kit: BraidingKit, word: FramedBraidWord) -> LegLocalOperator:
     """The operator on X^(2n) represented by a normalized framed word.
 
     One leg-local word: the crossing letters left to right, after one
-    twist-power step per framed strand.
+    twist-power step per framed strand; the empty word has no steps.  A
+    letter s_i^e is one step of R^e from |e| = 4 on, where squaring first
+    saves a composition, else |e| steps of R^(+-1) (column entries then keep
+    the order of the product of generators).
     """
     if not word.is_normalized:
         raise ValueError("word is not normalized; call normalize() first")
     n = word.strands
     ops = []
-    for kind, index, exp in word.letters:
-        gen = crossing_operator(kit, index, 1 if exp > 0 else -1, n)
-        ops.extend([gen] * abs(exp))
+    for _, index, exp in word.letters:
+        if abs(exp) < 4:
+            ops.extend([crossing_operator(kit, index, 1 if exp > 0 else -1, n)] * abs(exp))
+        else:
+            ops.append(crossing_operator(kit, index, exp, n))
     # the last op is applied first; strand 1's twist first keeps column entries
     # in the order of the product twist^(t_1) (x) ... (x) twist^(t_n)
     ops.extend(
-        _padded(kit, f"tw{f}", twist_power(kit, f), strand, n)
+        padded_power(kit, "twist", f, strand, n)
         for strand, f in reversed(list(enumerate(word.framings, 1)))
         if f
     )
-    if not ops:
-        return SparseOperator.identity(2 * n, kit.dim, kit.field)
-    return compose_chain(ops, cache=False)
+    return compose_chain([*ops, LegLocalOperator(2 * n, kit.dim, kit.field, (), ())])
 
 
 def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -> InvariantResult:
@@ -116,7 +110,7 @@ def check_framed_braid_relations(kit: BraidingKit, n: int = 3) -> ValidationRepo
         return cached
     report = ValidationReport()
     sigma = [crossing_operator(kit, i, 1, n) for i in range(1, n)]
-    tw = [_padded(kit, "twist", kit.twist, i, n) for i in range(1, n + 1)]
+    tw = [padded_power(kit, "twist", 1, i, n) for i in range(1, n + 1)]
     for i in range(len(sigma) - 1):
         report.add(
             compare(

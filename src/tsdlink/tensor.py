@@ -16,7 +16,9 @@ An operator that acts on a few consecutive legs of a large tensor power
 (a braid generator on X^(2n)) is a ``LegLocalOperator``: its only stored
 entries are the ``leg_table`` of the small operator, applied to the legs'
 digits of a base-(d+1) integer key, and composing two of one rank
-concatenates their steps.  ``tensor``/``tensor_chain`` build the kit's
+concatenates their steps.  Its trace runs the same steps on the graded
+tables alone (the degree-preserving part, see ``degree_raise``), over the
+keys 0 .. dim**rank - 1.  ``tensor``/``tensor_chain`` build the kit's
 operators and the TSD identities.
 
 Permutations act in the push convention: applying ``perm`` routes input
@@ -29,7 +31,7 @@ Tensors and operators are immutable by contract; column dicts returned by
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -293,9 +295,13 @@ class SparseOperator:
         )
 
     def trace(self):
-        """Sum of diagonal entries, streamed column by column."""
+        """Sum of diagonal entries."""
         if self.in_rank != self.out_rank:
             raise ValueError("trace needs in_rank == out_rank")
+        return self._diagonal_sum()
+
+    def _diagonal_sum(self):
+        """The trace, streamed column by column."""
         total = self.field.zero
         add = self.field.add
         for idx in iter_indices(self.dim, self.in_rank):
@@ -361,19 +367,40 @@ def compose_chain(ops: Iterable[SparseOperator], cache: bool = False) -> SparseO
     return out
 
 
-def leg_table(base: SparseOperator) -> tuple:
+def degree_raise(op: SparseOperator):
+    """The first (column, output) of op that raises the L-degree, or None.
+
+    The L-degree of a basis tuple is its number of nonzero indices.  Without
+    such an entry op is filtered: gr(op), its degree-preserving part, plus
+    terms of lower degree.
+    """
+    for idx in iter_indices(op.dim, op.in_rank):
+        for out in op.column(idx):
+            if out.count(0) < idx.count(0):
+                return idx, out
+    return None
+
+
+def leg_table(base: SparseOperator, graded: bool = False) -> tuple:
     """A square operator on X^k as rows over the integer keys of its legs.
 
     The key of an index tuple is its value in base dim, first leg most
     significant, so row ``loc`` is the column of the loc-th index tuple in
     ``iter_indices`` order: ``rows[loc] = ((out_loc - loc, value), ...)``.
+    With ``graded`` the rows keep only the entries of their column's own
+    L-degree, the table of gr(base), and a base that is not filtered is a
+    construction bug.
     """
     if base.in_rank != base.out_rank:
         raise ValueError("a leg table needs in_rank == out_rank")
+    if graded and (witness := degree_raise(base)):
+        raise RuntimeError(f"construction bug: column {witness[0]} has output {witness[1]} of higher L-degree")
     keys = {idx: loc for loc, idx in enumerate(iter_indices(base.dim, base.in_rank))}
     zero = base.field.zero
+    keep = (lambda idx, out: out.count(0) == idx.count(0)) if graded else (lambda idx, out: True)
     return tuple(
-        tuple((keys[out] - loc, v) for out, v in base.column(idx).items() if v != zero) for idx, loc in keys.items()
+        tuple((keys[out] - loc, v) for out, v in base.column(idx).items() if v != zero and keep(idx, out))
+        for idx, loc in keys.items()
     )
 
 
@@ -384,12 +411,9 @@ def _codec(dim: int, rank: int) -> tuple:
     return list(iter_indices(dim, rank - low)), list(iter_indices(dim, low)), dim**low
 
 
-def _leg_local_column(steps: tuple, dim: int, field: Field, idx: tuple) -> dict:
-    """The column of a ``LegLocalOperator`` with these steps at idx."""
+def _run_steps(steps: tuple, field: Field, key: int) -> tuple:
+    """The image of the basis vector of an integer key: (key, c, None) for one term, else (_, _, dict)."""
     one = field.one
-    key = 0
-    for i in idx:
-        key = key * dim + i
     # one term (key, c) until a row has more than one entry, then a dict
     c, cur = one, None
     for rows, stride, width in steps:
@@ -418,10 +442,7 @@ def _leg_local_column(steps: tuple, dim: int, field: Field, idx: tuple) -> dict:
                     else:
                         nxt[out] = s
         cur = nxt
-    hi, lo, split = _codec(dim, len(idx))
-    if cur is None:
-        return {hi[key // split] + lo[key % split]: c}
-    return {hi[key // split] + lo[key % split]: v for key, v in cur.items()}
+    return key, c, cur
 
 
 class LegLocalOperator(SparseOperator):
@@ -432,29 +453,60 @@ class LegLocalOperator(SparseOperator):
     value ``stride``.  A column encodes its index tuple once, runs every step
     on the integer keys, and decodes the image once.  Columns are never
     cached: the tables are the only stored entries.
+
+    ``graded`` holds, step for step, a memoized function returning the graded
+    table of the step (``leg_table(base, graded=True)``), which only the trace
+    reads: gr is multiplicative on filtered steps and the diagonal is degree-
+    preserving, so tr(A_1 ... A_m) = tr(gr A_1 ... gr A_m).
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "graded")
 
-    def __init__(self, rank: int, dim: int, field: Field, steps: tuple):
-        # a column function that holds no reference to self, so that dropping
-        # the operator frees it at once rather than at the next cycle collection
-        super().__init__(rank, rank, dim, field, partial(_leg_local_column, steps, dim, field), cache=False)
+    def __init__(self, rank: int, dim: int, field: Field, steps: tuple, graded: tuple):
+        super().__init__(rank, rank, dim, field, None, cache=False)  # ``column`` is overridden
         self.steps = steps  # in the order they are applied
+        self.graded = graded
+
+    def column(self, idx: tuple) -> dict:
+        """Image of the basis vector at idx, computed afresh: columns are never cached."""
+        dim = self.dim
+        key = 0
+        for i in idx:
+            key = key * dim + i
+        key, c, cur = _run_steps(self.steps, self.field, key)
+        hi, lo, split = _codec(dim, len(idx))
+        if cur is None:
+            return {hi[key // split] + lo[key % split]: c}
+        return {hi[key // split] + lo[key % split]: v for key, v in cur.items()}
 
     @classmethod
-    def padded(cls, rows: tuple, legs: int, offset: int, rank: int, dim: int, field: Field) -> "LegLocalOperator":
+    def padded(cls, rows: tuple, graded, legs: int, offset: int, rank: int, dim: int, field: Field) -> LegLocalOperator:
         """The table ``rows`` of a legs-leg operator on legs offset.. of X^rank."""
         if not 0 <= offset <= rank - legs:
             raise ValueError(f"{legs} legs from leg {offset} do not fit in rank {rank}")
-        return cls(rank, dim, field, ((rows, dim ** (rank - offset - legs), dim**legs),))
+        return cls(rank, dim, field, ((rows, dim ** (rank - offset - legs), dim**legs),), (graded,))
 
     def compose(self, other: SparseOperator, cache: bool = True) -> SparseOperator:
         """self . other; two leg-local words of one rank concatenate their steps."""
         if isinstance(other, LegLocalOperator) and (other.in_rank, other.dim) == (self.in_rank, self.dim):
             require_same_field(self.field, other.field)
-            return LegLocalOperator(self.in_rank, self.dim, self.field, other.steps + self.steps)
+            steps, graded = other.steps + self.steps, other.graded + self.graded
+            return LegLocalOperator(self.in_rank, self.dim, self.field, steps, graded)
         return super().compose(other, cache=cache)
+
+    def _diagonal_sum(self):
+        """The trace over integer keys, through the graded tables only."""
+        steps = tuple((graded(), stride, width) for graded, (_, stride, width) in zip(self.graded, self.steps))
+        field = self.field
+        add, total = field.add, field.zero
+        for key in range(self.dim**self.in_rank):
+            out, c, cur = _run_steps(steps, field, key)
+            if cur is None:
+                if out == key:
+                    total = add(total, c)
+            elif key in cur:
+                total = add(total, cur[key])
+        return total
 
 
 def tensor_chain(ops: Iterable[SparseOperator], cache: bool = True) -> SparseOperator:

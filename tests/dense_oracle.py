@@ -291,3 +291,18 @@ def oracle_trace(spec, crossing_exponents, framings):
     braiding = oracle.braiding_matrix()
     size = oracle.dim**4
     return product_trace([braiding] * len(crossing_exponents), size)
+
+
+def solve(matrix, vec):
+    """The x with matrix . x = vec for an invertible matrix, by exact Gauss-Jordan elimination."""
+    n = len(matrix)
+    rows = [list(matrix[i]) + [Fraction(vec[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor != 0:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]

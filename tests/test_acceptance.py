@@ -218,6 +218,31 @@ def test_criterion_5_abelian_closed_form():
     assert ok
 
 
+def test_closed_form_every_bundled_algebra():
+    # beside criterion 5: the trace counts components on every bundled algebra,
+    # since it reads only the degree-preserving part of each generator
+    rng = random.Random(515151)
+    ok = True
+    checked = 0
+    for name, dim in BUNDLED:
+        d = algebra(name, dim).dim
+        for _ in range(6):
+            n = rng.randint(1, 2 if name == "nambu4" else 3)
+            tokens = [f"t{rng.randint(1, n)}^{rng.choice([1, -1, 2])}"]
+            sigma_tokens = []
+            for _ in range(rng.randint(0, 4) if n > 1 else 0):
+                i, e = rng.randint(1, n - 1), rng.choice([1, -1, 2, -2, 3])
+                tokens.append(f"s{i}^{e}")
+                sigma_tokens.append((i, e))
+            rng.shuffle(tokens)
+            word = parse_braid_word(" ".join(tokens), n)
+            cycles = _independent_cycle_count(sigma_tokens, n)
+            ok = ok and trace_invariant(kit(name, dim), word).value == (d + 1) ** (2 * cycles)
+            checked += 1
+    _line(5, "closed form (d+1)^(2c) on every bundled algebra", ok, f"{checked} random framed words")
+    assert ok
+
+
 def test_criterion_6_invariance_harness():
     start = time.monotonic()
     ok = True

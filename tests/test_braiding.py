@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from helpers import BUNDLED, algebra, kit, padded_reference, same_columns, tsd_pair
@@ -90,6 +92,33 @@ def test_checks_share_padded_crossings():
     padded = [op for key, op in k.cache.items() if key[0] == "pad"]
     assert padded and all(isinstance(op, LegLocalOperator) and not op._cols for op in padded)
     assert not [op for op in operators if op.in_rank > 4 and op._cols]
+
+
+def test_check_path_builds_no_graded_tables():
+    k = make_braiding_kit(tsd_pair("so3"))  # fresh kit: empty cache
+    check_braiding(k)
+    check_framed_braid_relations(k)
+    builders = {key[1]: f for key, f in k.cache.items() if key[0] == "graded"}
+    assert set(builders) == {"braiding+", "twist+"}
+    assert all(f.cache_info().currsize == 0 for f in builders.values())
+    trace_invariant(k, parse_braid_word("s1 s1", 2))
+    assert builders["braiding+"].cache_info().currsize == 1
+    assert builders["twist+"].cache_info().currsize == 0
+
+
+def test_filtration_failure_is_reported_and_blocks_the_trace():
+    k = make_braiding_kit(tsd_pair("sl2"))
+    columns = {idx: dict(k.braiding.column(idx)) for idx in iter_indices(k.dim, 4)}
+    columns[(0, 0, 0, 1)][(1, 1, 0, 0)] = 1  # L-degree 1 -> 2
+    braiding = SparseOperator.from_columns(4, 4, k.dim, k.field, columns)
+    tampered = dataclasses.replace(k, braiding=braiding, cache={})
+    result = [r for r in check_braiding(tampered).results if r.name == "filtration"][0]
+    assert (result.ok, result.detail) == (False, "braiding")
+    assert (result.witness, result.residual) == (((0, 0, 0, 1), (1, 1, 0, 0)), {(1, 1, 0, 0): 1})
+    with pytest.raises(RuntimeError, match=r"construction bug: column \(0, 0, 0, 1\) has output \(1, 1, 0, 0\)"):
+        trace_invariant(tampered, parse_braid_word("s1", 2))
+    report = check_braiding(k)
+    assert [r.detail for r in report.results if r.name == "filtration"] == ["544 columns"]
 
 
 @pytest.mark.parametrize("name,n", [("sl2", 2), ("sl2", 3), ("nambu4", 2)])

@@ -104,11 +104,13 @@ def test_invariant_with_framings():
     [
         (["sl2", "--strands", "1", "--word", "", "--framings", "1200"], "16"),
         (["sl2", "--strands", "2", "--word", "s1^600"], "256"),
+        (["sl2", "--strands", "1", "--word", "", "--framings", "99999999"], "16"),
+        (["sl2", "--strands", "2", "--word", "s1^99999999999999999999"], "16"),
     ],
-    ids=["framing-1200", "s1^600"],
+    ids=["framing-1200", "s1^600", "framing-99999999", "s1^(10^20-1)"],
 )
 def test_invariant_deep_words(argv, value):
-    # one twist power per unit of framing and one step per crossing, no recursion
+    # powers by squaring: O(log |e|) compositions, no recursion
     code, text = run(["invariant", *argv])
     assert code == 0
     assert f"value: {value}" in text

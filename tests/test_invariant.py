@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import kit, padded_reference, same_columns
+from helpers import BUNDLED, kit, padded_reference, same_columns
 from tsdlink.braids import FramedBraidWord, cycle_count, normalize, parse_braid_word, underlying_permutation
 from tsdlink.fields import PrimeField
 from tsdlink.invariant import (
@@ -172,6 +172,26 @@ def test_representation_matches_tensor_padding(name, text, n):
         ops.extend([padded_reference(k, base, index, n)] * abs(exp))
     ops.append(tensor_chain([twist_power(k, f) for f in word.framings]))
     assert same_columns(compose_chain(ops, cache=False), representation(k, word)), text
+
+
+@pytest.mark.parametrize("name,dim", BUNDLED)
+def test_graded_trace_matches_column_trace(name, dim):
+    # the trace reads only the degree-preserving rows; the columns read every row
+    k = kit(name, dim)
+    rng = random.Random(97 + 13 * BUNDLED.index((name, dim)))
+    for _ in range(4):
+        n = rng.randint(1, 2 if name == "nambu4" else 3)
+        tokens = [f"t{rng.randint(1, n)}^{rng.choice([1, -1, 2, -3])}" for _ in range(rng.randint(0, 2))]
+        if n > 1:
+            tokens += [f"s{rng.randint(1, n - 1)}^{rng.choice([1, -1, 2, -2, 4, -5])}" for _ in range(rng.randint(1, 3))]
+        rng.shuffle(tokens)
+        op = representation(k, normalize(parse_braid_word(" ".join(tokens), n)))
+        full = k.field.zero
+        for idx in iter_indices(k.dim, 2 * n):
+            v = op.column(idx).get(idx)
+            if v is not None:
+                full = k.field.add(full, v)
+        assert op.trace() == full, tokens
 
 
 def test_normalize_two_pushes_frozen_framings():
