@@ -61,10 +61,6 @@ from .tensor import (
     counit_op,
     delta_n,
     delta_op,
-    op_apply,
-    op_compose,
-    op_tensor,
-    op_trace,
     permute,
     vector,
 )

@@ -20,9 +20,10 @@ the braiding or the twist (squared up by ``power``), memoized once per kit
 under the generator's name, acts on the legs of its strands and nothing is
 stored for the other legs.  The padded operators are memoized per kit too
 and keep no column cache, so the property checks, the framed-braid
-relations and the trace share them without filling memory.  The graded
-table beside each leg table is built by the first trace that uses it and
-asserts the filtration that ``check_braiding`` reports as ``filtration``.
+relations and the trace share them without filling memory.  The leg
+permutation of each table, its degree-preserving part, is extracted by the
+first trace that uses it, which asserts the filtration that
+``check_braiding`` reports as ``filtration``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .tensor import (
     compose_chain,
     degree_raise,
     delta_op,
+    leg_permutation,
     leg_table,
-    op_compose,
     tensor_chain,
 )
 from .tsd import TsdPair, compare, make_tsd_pair
@@ -124,8 +125,8 @@ def build_twist_inverse(pair: TsdPair) -> SparseOperator:
 def _assert_inverse(name: str, forward: SparseOperator, backward: SparseOperator) -> None:
     identity = SparseOperator.identity(forward.in_rank, forward.dim, forward.field)
     for label, composite in (
-        (f"{name}-inverse . {name}", op_compose(backward, forward, cache=False)),
-        (f"{name} . {name}-inverse", op_compose(forward, backward, cache=False)),
+        (f"{name}-inverse . {name}", backward.compose(forward, cache=False)),
+        (f"{name} . {name}-inverse", forward.compose(backward, cache=False)),
     ):
         witness = composite.diff_witness(identity)
         if witness is not None:
@@ -156,7 +157,7 @@ def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: i
 
     The leg table of `base` is memoized in the kit under `name`, and so is
     the padded operator, which holds only a reference to that table, and a
-    memoized builder of its graded table, which a trace calls first.
+    memoized extractor of its leg permutation, which a trace calls first.
     """
     key = ("pad", name, strand, n)
     op = kit.cache.get(key)
@@ -164,9 +165,9 @@ def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: i
         rows = kit.cache.get(("table", name))
         if rows is None:
             rows = kit.cache[("table", name)] = leg_table(base)
-            kit.cache[("graded", name)] = lru_cache(maxsize=None)(partial(leg_table, base, graded=True))
-        graded = kit.cache[("graded", name)]
-        op = LegLocalOperator.padded(rows, graded, base.in_rank, 2 * (strand - 1), 2 * n, kit.dim, kit.field)
+            kit.cache[("perm", name)] = lru_cache(maxsize=None)(partial(leg_permutation, base))
+        perm = kit.cache[("perm", name)]
+        op = LegLocalOperator.padded(rows, perm, base.in_rank, 2 * (strand - 1), 2 * n, kit.dim, kit.field)
         kit.cache[key] = op
     return op
 
@@ -207,7 +208,7 @@ def crossing_operator(kit: BraidingKit, index: int, exponent: int, n: int) -> Le
 
 
 def _check_filtration(kit: BraidingKit) -> CheckResult:
-    """R, R^-1, theta and theta^-1 never raise the L-degree (the test graded tables assert)."""
+    """R, R^-1, theta and theta^-1 never raise the L-degree (what the trace asserts in leg_permutation)."""
     generators = (kit.braiding, kit.braiding_inv, kit.twist, kit.twist_inv)
     for label, op in zip(("braiding", "braiding-inverse", "twist", "twist-inverse"), generators):
         if witness := degree_raise(op):
@@ -230,24 +231,24 @@ def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> Valida
     report.add(compare("ybe", compose_chain([left, right, left]), compose_chain([right, left, right])))
 
     identity4 = SparseOperator.identity(4, dim, field)
-    report.add(compare("braiding-invertible", op_compose(kit.braiding_inv, kit.braiding, cache=False), identity4))
+    report.add(compare("braiding-invertible", kit.braiding_inv.compose(kit.braiding, cache=False), identity4))
     identity2 = SparseOperator.identity(2, dim, field)
-    report.add(compare("twist-invertible", op_compose(kit.twist_inv, kit.twist, cache=False), identity2))
+    report.add(compare("twist-invertible", kit.twist_inv.compose(kit.twist, cache=False), identity2))
     report.add(_check_filtration(kit))
 
     twist_left, twist_right = (padded_power(kit, "twist", 1, i, 2) for i in (1, 2))
     report.add(
         compare(
             "slide-under",
-            op_compose(kit.braiding, twist_left, cache=False),
-            op_compose(twist_right, kit.braiding, cache=False),
+            kit.braiding.compose(twist_left, cache=False),
+            twist_right.compose(kit.braiding, cache=False),
         )
     )
     report.add(
         compare(
             "slide-over",
-            op_compose(kit.braiding, twist_right, cache=False),
-            op_compose(twist_left, kit.braiding, cache=False),
+            kit.braiding.compose(twist_right, cache=False),
+            twist_left.compose(kit.braiding, cache=False),
         )
     )
 
@@ -256,8 +257,8 @@ def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> Valida
         report.add(
             compare(
                 "far-commutation",
-                op_compose(far_left, far_right, cache=False),
-                op_compose(far_right, far_left, cache=False),
+                far_left.compose(far_right, cache=False),
+                far_right.compose(far_left, cache=False),
             )
         )
     else:

@@ -5,13 +5,14 @@ strands (i, i+1) acts by the braiding on legs 2(i-1) .. 2i+1; a framing
 twist on strand i acts by the twist on that strand's pair.  A normalized
 word maps to one leg-local word (see the tensor module): its crossing
 letters composed left to right, applied after one twist^(t_i) step per
-framed strand.  The trace of that operator is the link invariant; it runs
-over integer keys through the graded tables only, which is exact because
-every generator is filtered (see the tensor module), and caches no column.
+framed strand.  The trace of that operator is the link invariant; it is
+dim ** (cycles of the composite leg permutation of its steps), which is
+exact because every generator is filtered (see the tensor module), and it
+reads no column.
 
-Padded generators, their leg and graded tables (built in the braiding
-module) and generator powers are memoized per kit, so repeated traces (the
-Markov harness) and the braiding checks never rebuild them.
+Padded generators, their leg tables and leg permutations (built in the
+braiding module) and generator powers are memoized per kit, so repeated
+traces (the Markov harness) and the braiding checks never rebuild them.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import time
 from dataclasses import dataclass
 
 from .algebra import ValidationReport
-from .braiding import BraidingKit, crossing_operator, padded_power, power
+from .braiding import BraidingKit, crossing_operator, padded_power
 from .braids import FramedBraidWord, MarkovTrace, normalize, random_markov_equivalent
-from .tensor import LegLocalOperator, SparseOperator, compose_chain
+from .tensor import LegLocalOperator, compose_chain
 from .tsd import compare
 
 
@@ -40,11 +41,6 @@ class InvariantResult:
     strands: int
     operator_dim: int
     timing_ms: int
-
-
-def twist_power(kit: BraidingKit, exponent: int) -> SparseOperator:
-    """twist^exponent on X^2, by squaring and memoized per kit (see braiding.power)."""
-    return power(kit, "twist", exponent)
 
 
 def representation(kit: BraidingKit, word: FramedBraidWord) -> LegLocalOperator:
@@ -82,7 +78,7 @@ def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -
     if operator_dim > cap:
         raise DimensionCapError(
             f"operator dimension {operator_dim} exceeds cap {cap}; "
-            "the cap bounds the columns the trace visits; use fewer strands or a larger --cap"
+            "the cap bounds the dimension dim^(2n) of the represented operator; use fewer strands or a larger --cap"
         )
     start = time.monotonic()
     value = representation(kit, word).trace()

@@ -16,10 +16,11 @@ An operator that acts on a few consecutive legs of a large tensor power
 (a braid generator on X^(2n)) is a ``LegLocalOperator``: its only stored
 entries are the ``leg_table`` of the small operator, applied to the legs'
 digits of a base-(d+1) integer key, and composing two of one rank
-concatenates their steps.  Its trace runs the same steps on the graded
-tables alone (the degree-preserving part, see ``degree_raise``), over the
-keys 0 .. dim**rank - 1.  ``tensor``/``tensor_chain`` build the kit's
-operators and the TSD identities.
+concatenates their steps.  Its trace reads no entry: the degree-preserving
+part of each step (see ``degree_raise``) is a permutation of its legs
+(``leg_permutation``), and the trace is dim ** (cycles of their
+composite).  ``tensor``/``tensor_chain`` build the kit's operators and the
+TSD identities.
 
 Permutations act in the push convention: applying ``perm`` routes input
 factor i to output slot perm[i] (0-based).  Every leg-routing table in the
@@ -35,6 +36,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .braids import cycle_count
 from .fields import Field, require_same_field
 
 
@@ -334,27 +336,6 @@ class SparseOperator:
                 return idx, residual
         return None
 
-    def equals(self, other: "SparseOperator") -> bool:
-        return self.diff_witness(other) is None
-
-
-# Spec-facing functional aliases.
-
-def op_apply(op: SparseOperator, t: SparseTensor) -> SparseTensor:
-    return op.apply(t)
-
-
-def op_compose(outer: SparseOperator, inner: SparseOperator, cache: bool = True) -> SparseOperator:
-    return outer.compose(inner, cache=cache)
-
-
-def op_tensor(a: SparseOperator, b: SparseOperator, cache: bool = True) -> SparseOperator:
-    return a.tensor(b, cache=cache)
-
-
-def op_trace(op: SparseOperator):
-    return op.trace()
-
 
 def compose_chain(ops: Iterable[SparseOperator], cache: bool = False) -> SparseOperator:
     """Compose a left-to-right chain: [A, B, C] -> A . B . C (C applied first)."""
@@ -381,27 +362,48 @@ def degree_raise(op: SparseOperator):
     return None
 
 
-def leg_table(base: SparseOperator, graded: bool = False) -> tuple:
+def leg_table(base: SparseOperator) -> tuple:
     """A square operator on X^k as rows over the integer keys of its legs.
 
     The key of an index tuple is its value in base dim, first leg most
     significant, so row ``loc`` is the column of the loc-th index tuple in
     ``iter_indices`` order: ``rows[loc] = ((out_loc - loc, value), ...)``.
-    With ``graded`` the rows keep only the entries of their column's own
-    L-degree, the table of gr(base), and a base that is not filtered is a
-    construction bug.
     """
     if base.in_rank != base.out_rank:
         raise ValueError("a leg table needs in_rank == out_rank")
-    if graded and (witness := degree_raise(base)):
-        raise RuntimeError(f"construction bug: column {witness[0]} has output {witness[1]} of higher L-degree")
     keys = {idx: loc for loc, idx in enumerate(iter_indices(base.dim, base.in_rank))}
     zero = base.field.zero
-    keep = (lambda idx, out: out.count(0) == idx.count(0)) if graded else (lambda idx, out: True)
     return tuple(
-        tuple((keys[out] - loc, v) for out, v in base.column(idx).items() if v != zero and keep(idx, out))
+        tuple((keys[out] - loc, v) for out, v in base.column(idx).items() if v != zero)
         for idx, loc in keys.items()
     )
+
+
+def leg_permutation(base: SparseOperator) -> tuple:
+    """gr(base), the degree-preserving part of a square operator, as a leg permutation.
+
+    The permutation (push convention) is read off the columns with index 1
+    on one leg.  A base that raises the L-degree, or whose gr is not that
+    permutation with unit coefficients in every column, is a construction bug.
+    """
+    if witness := degree_raise(base):
+        raise RuntimeError(f"construction bug: column {witness[0]} has output {witness[1]} of higher L-degree")
+    rank, one = base.in_rank, base.field.one
+    perm = []
+    for leg in range(rank):
+        outs = [out for out in base.column((0,) * leg + (1,) + (0,) * (rank - leg - 1)) if out.count(0) == rank - 1]
+        # anything else fails the column check below
+        perm.append(outs[0].index(1) if len(outs) == 1 and 1 in outs[0] else leg)
+    for idx in iter_indices(base.dim, rank):
+        image = [0] * rank
+        for i, slot in enumerate(perm):
+            image[slot] = idx[i]
+        gr = {out: v for out, v in base.column(idx).items() if out.count(0) == idx.count(0)}
+        if gr != {tuple(image): one}:
+            raise RuntimeError(
+                f"construction bug: column {idx} has degree-preserving part {gr}, not leg permutation {tuple(perm)}"
+            )
+    return tuple(perm)
 
 
 @lru_cache(maxsize=None)
@@ -454,18 +456,19 @@ class LegLocalOperator(SparseOperator):
     on the integer keys, and decodes the image once.  Columns are never
     cached: the tables are the only stored entries.
 
-    ``graded`` holds, step for step, a memoized function returning the graded
-    table of the step (``leg_table(base, graded=True)``), which only the trace
-    reads: gr is multiplicative on filtered steps and the diagonal is degree-
-    preserving, so tr(A_1 ... A_m) = tr(gr A_1 ... gr A_m).
+    ``perms`` holds, step for step, ``(offset, perm)``: the step's first leg
+    and a memoized function returning the ``leg_permutation`` of its table,
+    which only the trace reads.  gr is multiplicative on filtered steps and
+    the diagonal is degree-preserving, so tr(A_1 ... A_m) = tr(gr A_1 ...
+    gr A_m), the trace of a permutation of the legs: dim ** (its cycles).
     """
 
-    __slots__ = ("steps", "graded")
+    __slots__ = ("steps", "perms")
 
-    def __init__(self, rank: int, dim: int, field: Field, steps: tuple, graded: tuple):
+    def __init__(self, rank: int, dim: int, field: Field, steps: tuple, perms: tuple):
         super().__init__(rank, rank, dim, field, None, cache=False)  # ``column`` is overridden
         self.steps = steps  # in the order they are applied
-        self.graded = graded
+        self.perms = perms
 
     def column(self, idx: tuple) -> dict:
         """Image of the basis vector at idx, computed afresh: columns are never cached."""
@@ -480,33 +483,28 @@ class LegLocalOperator(SparseOperator):
         return {hi[key // split] + lo[key % split]: v for key, v in cur.items()}
 
     @classmethod
-    def padded(cls, rows: tuple, graded, legs: int, offset: int, rank: int, dim: int, field: Field) -> LegLocalOperator:
-        """The table ``rows`` of a legs-leg operator on legs offset.. of X^rank."""
+    def padded(cls, rows: tuple, perm, legs: int, offset: int, rank: int, dim: int, field: Field) -> LegLocalOperator:
+        """The table ``rows`` of a legs-leg operator on legs offset.. of X^rank; ``perm()`` is its leg permutation."""
         if not 0 <= offset <= rank - legs:
             raise ValueError(f"{legs} legs from leg {offset} do not fit in rank {rank}")
-        return cls(rank, dim, field, ((rows, dim ** (rank - offset - legs), dim**legs),), (graded,))
+        return cls(rank, dim, field, ((rows, dim ** (rank - offset - legs), dim**legs),), ((offset, perm),))
 
     def compose(self, other: SparseOperator, cache: bool = True) -> SparseOperator:
         """self . other; two leg-local words of one rank concatenate their steps."""
         if isinstance(other, LegLocalOperator) and (other.in_rank, other.dim) == (self.in_rank, self.dim):
             require_same_field(self.field, other.field)
-            steps, graded = other.steps + self.steps, other.graded + self.graded
-            return LegLocalOperator(self.in_rank, self.dim, self.field, steps, graded)
+            steps, perms = other.steps + self.steps, other.perms + self.perms
+            return LegLocalOperator(self.in_rank, self.dim, self.field, steps, perms)
         return super().compose(other, cache=cache)
 
     def _diagonal_sum(self):
-        """The trace over integer keys, through the graded tables only."""
-        steps = tuple((graded(), stride, width) for graded, (_, stride, width) in zip(self.graded, self.steps))
-        field = self.field
-        add, total = field.add, field.zero
-        for key in range(self.dim**self.in_rank):
-            out, c, cur = _run_steps(steps, field, key)
-            if cur is None:
-                if out == key:
-                    total = add(total, c)
-            elif key in cur:
-                total = add(total, cur[key])
-        return total
+        """dim ** (cycles of the composite leg permutation of the steps): O(steps * legs)."""
+        slots = list(range(self.in_rank))  # slots[s]: the leg whose digit is at slot s
+        for offset, perm in self.perms:
+            moved = slots[offset:]
+            for i, slot in enumerate(perm()):
+                slots[offset + slot] = moved[i]
+        return self.field.from_int(self.dim ** cycle_count(s + 1 for s in slots))
 
 
 def tensor_chain(ops: Iterable[SparseOperator], cache: bool = True) -> SparseOperator:

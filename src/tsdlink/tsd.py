@@ -35,7 +35,6 @@ from .tensor import (
     compose_chain,
     counit_op,
     delta_op,
-    op_compose,
     tensor_chain,
 )
 
@@ -126,7 +125,7 @@ def build_T_tilde(spec: AlgebraSpec) -> SparseOperator:
     if spec.arity == 3:
         # compose the forward map with the swap of the last two inputs
         swap_last_two = SparseOperator.permutation((0, 2, 1), spec.dim + 1, field)
-        return op_compose(build_T(spec), swap_last_two)
+        return build_T(spec).compose(swap_last_two)
     return _ternary_map(spec, field.neg(field.one))
 
 
@@ -173,7 +172,7 @@ def _tsd_sides(pair: TsdPair, outer: SparseOperator, inner: SparseOperator):
     """LHS/RHS of the self-distributivity diagram for given outer/inner maps."""
     dim, field = pair.dim, pair.field
     one1 = SparseOperator.identity(1, dim, field)
-    lhs = op_compose(outer, tensor_chain([inner, one1, one1]), cache=False)
+    lhs = outer.compose(tensor_chain([inner, one1, one1]), cache=False)
     route = SparseOperator.permutation(INTERLEAVE_9, dim, field)
     expand = tensor_chain([one1, one1, one1, delta_op(3, dim, field), delta_op(3, dim, field)])
     rhs = compose_chain(
@@ -207,10 +206,10 @@ def _check_coalgebra_morphism(pair: TsdPair) -> list[CheckResult]:
     eps3 = tensor_chain([eps, eps, eps])
     results = []
     for label, m in (("", pair.op), ("~", pair.rev)):
-        lhs = op_compose(d3, m, cache=False)
+        lhs = d3.compose(m, cache=False)
         rhs = compose_chain([tensor_chain([m, m, m]), route, tensor_chain([d3, d3, d3])], cache=False)
         results.append(compare(f"coalgebra-morphism{label}", lhs, rhs))
-        results.append(compare(f"counit-compat{label}", op_compose(eps, m, cache=False), eps3))
+        results.append(compare(f"counit-compat{label}", eps.compose(m, cache=False), eps3))
     return results
 
 
@@ -256,7 +255,7 @@ def _check_q_self_distributive(pair: TsdPair) -> list[CheckResult]:
     dim, field = pair.dim, pair.field
     q = build_q(pair.algebra)
     one1 = SparseOperator.identity(1, dim, field)
-    lhs = op_compose(q, tensor_chain([q, one1]), cache=False)
+    lhs = q.compose(tensor_chain([q, one1]), cache=False)
     rhs = compose_chain(
         [
             q,

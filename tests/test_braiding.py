@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -12,10 +13,11 @@ from tsdlink.braiding import (
     check_braiding,
     crossing_operator,
     make_braiding_kit,
+    power,
 )
 from tsdlink.braids import parse_braid_word
-from tsdlink.invariant import check_framed_braid_relations, trace_invariant, twist_power
-from tsdlink.tensor import LegLocalOperator, SparseOperator, iter_indices, op_compose
+from tsdlink.invariant import check_framed_braid_relations, trace_invariant
+from tsdlink.tensor import LegLocalOperator, SparseOperator, iter_indices
 from tsdlink.tsd import TsdPair, build_T_tilde
 
 # frozen by the dense oracle (see test_oracle.py); basis order (b0, h, e, f)
@@ -34,8 +36,8 @@ def test_abelian_braiding_is_pair_swap():
 def test_abelian_twist_is_identity():
     k = kit("abelian", 2)
     identity = SparseOperator.identity(2, 3, k.field)
-    assert k.twist.equals(identity)
-    assert k.twist_inv.equals(identity)
+    assert k.twist.diff_witness(identity) is None
+    assert k.twist_inv.diff_witness(identity) is None
 
 
 def test_grouplike_columns():
@@ -52,7 +54,7 @@ def test_sl2_frozen_braiding_column():
 
 def test_sl2_twist_differs_from_identity_with_frozen_column():
     k = kit("sl2")
-    assert not k.twist.equals(SparseOperator.identity(2, 4, k.field))
+    assert k.twist.diff_witness(SparseOperator.identity(2, 4, k.field)) is not None
     assert k.twist.column((2, 3)) == SL2_TWIST_COLUMN_23
 
 
@@ -98,7 +100,7 @@ def test_check_path_builds_no_graded_tables():
     k = make_braiding_kit(tsd_pair("so3"))  # fresh kit: empty cache
     check_braiding(k)
     check_framed_braid_relations(k)
-    builders = {key[1]: f for key, f in k.cache.items() if key[0] == "graded"}
+    builders = {key[1]: f for key, f in k.cache.items() if key[0] == "perm"}
     assert set(builders) == {"braiding+", "twist+"}
     assert all(f.cache_info().currsize == 0 for f in builders.values())
     trace_invariant(k, parse_braid_word("s1 s1", 2))
@@ -106,12 +108,16 @@ def test_check_path_builds_no_graded_tables():
     assert builders["twist+"].cache_info().currsize == 0
 
 
+def _tampered_braiding(k, tamper):
+    columns = {idx: dict(k.braiding.column(idx)) for idx in iter_indices(k.dim, 4)}
+    tamper(columns)
+    braiding = SparseOperator.from_columns(4, 4, k.dim, k.field, columns)
+    return dataclasses.replace(k, braiding=braiding, cache={})
+
+
 def test_filtration_failure_is_reported_and_blocks_the_trace():
     k = make_braiding_kit(tsd_pair("sl2"))
-    columns = {idx: dict(k.braiding.column(idx)) for idx in iter_indices(k.dim, 4)}
-    columns[(0, 0, 0, 1)][(1, 1, 0, 0)] = 1  # L-degree 1 -> 2
-    braiding = SparseOperator.from_columns(4, 4, k.dim, k.field, columns)
-    tampered = dataclasses.replace(k, braiding=braiding, cache={})
+    tampered = _tampered_braiding(k, lambda columns: columns[(0, 0, 0, 1)].update({(1, 1, 0, 0): 1}))  # degree 1 -> 2
     result = [r for r in check_braiding(tampered).results if r.name == "filtration"][0]
     assert (result.ok, result.detail) == (False, "braiding")
     assert (result.witness, result.residual) == (((0, 0, 0, 1), (1, 1, 0, 0)), {(1, 1, 0, 0): 1})
@@ -119,6 +125,28 @@ def test_filtration_failure_is_reported_and_blocks_the_trace():
         trace_invariant(tampered, parse_braid_word("s1", 2))
     report = check_braiding(k)
     assert [r.detail for r in report.results if r.name == "filtration"] == ["544 columns"]
+
+
+def _swap_e_f_outputs(columns):
+    # gr maps (0,0,0,2) to (0,3,0,0) and (0,0,0,3) to (0,2,0,0): a permutation of keys, not of legs
+    for idx, out in (((0, 0, 0, 2), (0, 2, 0, 0)), ((0, 0, 0, 3), (0, 3, 0, 0))):
+        del columns[idx][out]
+        columns[idx][(0, 5 - out[1], 0, 0)] = 1
+
+
+@pytest.mark.parametrize(
+    "tamper,column",
+    [
+        (lambda columns: columns.update({(0, 0, 0, 0): {(0, 0, 0, 0): 2}}), (0, 0, 0, 0)),
+        (_swap_e_f_outputs, (0, 0, 0, 2)),
+    ],
+    ids=["coefficient-2", "key-permutation"],
+)
+def test_filtered_braiding_whose_gr_is_no_leg_permutation_blocks_the_trace(tamper, column):
+    tampered = _tampered_braiding(make_braiding_kit(tsd_pair("sl2")), tamper)
+    assert [r.ok for r in check_braiding(tampered).results if r.name == "filtration"] == [True]
+    with pytest.raises(RuntimeError, match=rf"construction bug: column {re.escape(str(column))} has degree-preserving"):
+        trace_invariant(tampered, parse_braid_word("s1", 2))
 
 
 @pytest.mark.parametrize("name,n", [("sl2", 2), ("sl2", 3), ("nambu4", 2)])
@@ -130,7 +158,7 @@ def test_padded_generators_match_tensor_padding(name, n):
             assert same_columns(padded_reference(k, base, strand, n), op), (strand, sign)
     for strand in range(1, n + 1):
         for exp in (1, -1, 2):
-            base = twist_power(k, exp)
+            base = power(k, "twist", exp)
             op = _padded(k, f"tw{exp}", base, strand, n)
             assert same_columns(padded_reference(k, base, strand, n), op), (strand, exp)
 
@@ -178,9 +206,9 @@ def test_sign_flip_breaks_ybe_or_reversibility(name, flip):
     one2 = SparseOperator.identity(2, pair.dim, pair.field)
     left = braiding.tensor(one2)
     right = one2.tensor(braiding)
-    lhs = op_compose(op_compose(left, right, cache=False), left, cache=False)
-    rhs = op_compose(op_compose(right, left, cache=False), right, cache=False)
-    ybe_holds = lhs.equals(rhs)
+    lhs = left.compose(right, cache=False).compose(left, cache=False)
+    rhs = right.compose(left, cache=False).compose(right, cache=False)
+    ybe_holds = lhs.diff_witness(rhs) is None
     try:
         build_braiding_inverse(pair)
         invertible_by_displayed_formula = True
@@ -200,5 +228,5 @@ def test_twist_inverse_standalone():
     twist = build_twist(pair)
     twist_inv = build_twist_inverse(pair)
     identity = SparseOperator.identity(2, pair.dim, pair.field)
-    assert op_compose(twist, twist_inv).equals(identity)
-    assert op_compose(twist_inv, twist).equals(identity)
+    assert twist.compose(twist_inv).diff_witness(identity) is None
+    assert twist_inv.compose(twist).diff_witness(identity) is None

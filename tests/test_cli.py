@@ -106,11 +106,12 @@ def test_invariant_with_framings():
         (["sl2", "--strands", "2", "--word", "s1^600"], "256"),
         (["sl2", "--strands", "1", "--word", "", "--framings", "99999999"], "16"),
         (["sl2", "--strands", "2", "--word", "s1^99999999999999999999"], "16"),
+        (["nambu4", "--strands", "8", "--word", "s1 s2 s3 s4 s5 s6 s7", "--cap", "1000000000000"], "25"),
     ],
-    ids=["framing-1200", "s1^600", "framing-99999999", "s1^(10^20-1)"],
+    ids=["framing-1200", "s1^600", "framing-99999999", "s1^(10^20-1)", "nambu4-8-strands"],
 )
 def test_invariant_deep_words(argv, value):
-    # powers by squaring: O(log |e|) compositions, no recursion
+    # powers by squaring: O(log |e|) compositions, no recursion; the trace visits no column
     code, text = run(["invariant", *argv])
     assert code == 0
     assert f"value: {value}" in text

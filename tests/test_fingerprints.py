@@ -21,7 +21,6 @@ from dense_oracle import DenseOracle, matvec, solve
 from helpers import algebra, kit
 from test_braiding import _tampered_pair
 from tsdlink.braiding import build_braiding, power
-from tsdlink.invariant import twist_power
 from tsdlink.tensor import SparseTensor, iter_indices
 
 FINGERPRINTS = Path(__file__).parent / "fixtures" / "fingerprints.tsv"
@@ -82,7 +81,7 @@ def test_fingerprints_reproduced_by_oracle_and_sparse_pipeline(name):
     assert oracle_images(name) == frozen
     k = kit(name)
     for (operator, exp), image in frozen.items():
-        op = power(k, "braiding", exp) if operator == "R" else twist_power(k, exp)
+        op = power(k, "braiding" if operator == "R" else "twist", exp)
         assert sparse_image(op, POWERS[operator][0]) == image, (operator, exp)
 
 
