@@ -17,9 +17,8 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 from itertools import product
 from pathlib import Path
-from typing import Iterable
 
-from .fields import Field, RATIONALS
+from .fields import Field, RATIONALS, _accumulate
 
 BUILTIN_NAMES = ("abelian", "heisenberg3", "so3", "sl2", "nambu4")
 
@@ -37,9 +36,6 @@ class AlgebraSpec:
     basis: tuple[str, ...]
     # sorted 1-based index tuple -> {basis index: coefficient}
     structure: dict[tuple[int, ...], dict[int, object]]
-
-    def basis_label(self, i: int) -> str:
-        return self.basis[i - 1]
 
     def bracket_basis(self, indices: tuple[int, ...]) -> dict[int, object]:
         """Bracket of basis vectors in any order, via the permutation sign."""
@@ -89,7 +85,7 @@ def bracket2(spec: AlgebraSpec, x: dict, y: dict) -> dict:
         for j, yc in y.items():
             coeffs = spec.bracket_basis((i, j))
             if coeffs:
-                _add_scaled(out, coeffs, field.mul(xc, yc), field)
+                _accumulate(out, coeffs, field, field.mul(xc, yc))
     return out
 
 
@@ -107,20 +103,8 @@ def bracket3(spec: AlgebraSpec, x: dict, y: dict, z: dict) -> dict:
             for k, zc in z.items():
                 coeffs = spec.bracket_basis((i, j, k))
                 if coeffs:
-                    _add_scaled(out, coeffs, field.mul(cxy, zc), field)
+                    _accumulate(out, coeffs, field, field.mul(cxy, zc))
     return out
-
-
-def _add_scaled(target: dict, source: dict, scale, field: Field) -> None:
-    if scale == field.zero:
-        return
-    for i, c in source.items():
-        cur = target.get(i)
-        s = field.mul(scale, c) if cur is None else field.add(cur, field.mul(scale, c))
-        if s == field.zero:
-            target.pop(i, None)
-        else:
-            target[i] = s
 
 
 # --------------------------------------------------------------------------
@@ -172,9 +156,9 @@ def _jacobi_residual(spec: AlgebraSpec, i: int, j: int, k: int) -> dict:
     x, y, z = (_unit(spec, t) for t in (i, j, k))
     field = spec.field
     out: dict = {}
-    _add_scaled(out, bracket2(spec, bracket2(spec, x, y), z), field.one, field)
-    _add_scaled(out, bracket2(spec, bracket2(spec, y, z), x), field.one, field)
-    _add_scaled(out, bracket2(spec, bracket2(spec, z, x), y), field.one, field)
+    _accumulate(out, bracket2(spec, bracket2(spec, x, y), z), field)
+    _accumulate(out, bracket2(spec, bracket2(spec, y, z), x), field)
+    _accumulate(out, bracket2(spec, bracket2(spec, z, x), y), field)
     return out
 
 
@@ -183,11 +167,11 @@ def _filippov_residual(spec: AlgebraSpec, xs: tuple[int, ...]) -> dict:
     x1, x2, x3, x4, x5 = (_unit(spec, t) for t in xs)
     field = spec.field
     out: dict = {}
-    _add_scaled(out, bracket3(spec, bracket3(spec, x1, x2, x3), x4, x5), field.one, field)
+    _accumulate(out, bracket3(spec, bracket3(spec, x1, x2, x3), x4, x5), field)
     minus_one = field.neg(field.one)
-    _add_scaled(out, bracket3(spec, bracket3(spec, x1, x4, x5), x2, x3), minus_one, field)
-    _add_scaled(out, bracket3(spec, x1, bracket3(spec, x2, x4, x5), x3), minus_one, field)
-    _add_scaled(out, bracket3(spec, x1, x2, bracket3(spec, x3, x4, x5)), minus_one, field)
+    _accumulate(out, bracket3(spec, bracket3(spec, x1, x4, x5), x2, x3), field, minus_one)
+    _accumulate(out, bracket3(spec, x1, bracket3(spec, x2, x4, x5), x3), field, minus_one)
+    _accumulate(out, bracket3(spec, x1, x2, bracket3(spec, x3, x4, x5)), field, minus_one)
     return out
 
 
@@ -198,7 +182,8 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
     (fundamental) identity, in the derivation form
     [[x1,x2,x3],x4,x5] = [[x1,x4,x5],x2,x3] + [x1,[x2,x4,x5],x3]
     + [x1,x2,[x3,x4,x5]], over all d^5 tuples.  Antisymmetry is structural
-    and reported as vacuously checked.
+    and reported as vacuously checked.  A passing report marks the spec's
+    content as validated, which ``ensure_validated`` reads.
     """
     report = ValidationReport()
     skew_name = "antisymmetry" if spec.arity == 2 else "skew-symmetry"
@@ -222,6 +207,7 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
                 report.add(CheckResult("filippov", False, witness=xs, residual=residual))
                 return report
         report.add(CheckResult("filippov", True, f"{count} 5-tuples"))
+    object.__setattr__(spec, "_validated", _fingerprint(spec))
     return report
 
 
@@ -234,11 +220,10 @@ def _fingerprint(spec: AlgebraSpec) -> tuple:
 def ensure_validated(spec: AlgebraSpec) -> None:
     """Raise unless the spec satisfies its defining identity.
 
-    Memoized on the spec's content: an edit to its structure constants after
-    a successful validation triggers a new one.
+    Memoized on the spec's content by ``validate_algebra``: an edit to its
+    structure constants after a successful validation triggers a new one.
     """
-    fingerprint = _fingerprint(spec)
-    if getattr(spec, "_validated", None) == fingerprint:
+    if getattr(spec, "_validated", None) == _fingerprint(spec):
         return
     report = validate_algebra(spec)
     if not report.passed:
@@ -246,11 +231,15 @@ def ensure_validated(spec: AlgebraSpec) -> None:
         raise AlgebraError(
             f"algebra {spec.name!r} fails {failure.name} at {failure.witness}: residual {failure.residual}"
         )
-    object.__setattr__(spec, "_validated", fingerprint)
 
 
 # --------------------------------------------------------------------------
 # Loading and builtins
+
+
+def _integer(value) -> bool:
+    """A JSON integer: ``true`` and ``2.0`` are not arities, dimensions or indices."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_algebra(document: dict) -> AlgebraSpec:
@@ -273,9 +262,9 @@ def load_algebra(document: dict) -> AlgebraSpec:
         field = Field.from_descriptor(document["field"])
     except KeyError as e:
         raise AlgebraError(f"algebra document missing key {e.args[0]!r}") from None
-    if arity not in (2, 3):
+    if not _integer(arity) or arity not in (2, 3):
         raise AlgebraError(f"arity must be 2 or 3, got {arity!r}")
-    if not isinstance(dim, int) or dim < 1:
+    if not _integer(dim) or dim < 1:
         raise AlgebraError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
         raise AlgebraError(f"basis must list {dim} labels")
@@ -286,7 +275,7 @@ def load_algebra(document: dict) -> AlgebraSpec:
         args = entry.get("args")
         if not isinstance(args, list) or len(args) != arity:
             raise AlgebraError(f"bracket args {args!r}: expected {arity} indices")
-        if any(not isinstance(a, int) or not 1 <= a <= dim for a in args):
+        if any(not _integer(a) or not 1 <= a <= dim for a in args):
             raise AlgebraError(f"bracket args {args!r}: index out of range 1..{dim}")
         if any(args[i] >= args[i + 1] for i in range(arity - 1)):
             raise AlgebraError(
@@ -302,16 +291,9 @@ def load_algebra(document: dict) -> AlgebraSpec:
         coeffs: dict[int, object] = {}
         for term in value:
             idx = term.get("idx")
-            if not isinstance(idx, int) or not 1 <= idx <= dim:
+            if not _integer(idx) or not 1 <= idx <= dim:
                 raise AlgebraError(f"bracket value index {idx!r} out of range 1..{dim}")
-            c = field.parse(str(term.get("coeff")))
-            if c != field.zero:
-                if idx in coeffs:
-                    coeffs[idx] = field.add(coeffs[idx], c)
-                    if coeffs[idx] == field.zero:
-                        del coeffs[idx]
-                else:
-                    coeffs[idx] = c
+            _accumulate(coeffs, {idx: field.parse(str(term.get("coeff")))}, field)
         if coeffs:
             structure[key] = coeffs
     return AlgebraSpec(str(name), arity, dim, field, tuple(basis), structure)
@@ -345,11 +327,6 @@ def dump_algebra(spec: AlgebraSpec) -> dict:
             for key, coeffs in sorted(spec.structure.items())
         ],
     }
-
-
-def _epsilon_sign(perm: Iterable[int]) -> int:
-    _, sign = _sort_with_sign(tuple(perm))
-    return sign
 
 
 def builtin_algebra(name: str, dim: int | None = None, arity: int = 2, field: Field | None = None) -> AlgebraSpec:
@@ -395,7 +372,7 @@ def builtin_algebra(name: str, dim: int | None = None, arity: int = 2, field: Fi
         structure: dict[tuple[int, ...], dict[int, object]] = {}
         for key in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
             (l,) = set(range(1, 5)) - set(key)
-            sign = _epsilon_sign(key + (l,))
+            _, sign = _sort_with_sign(key + (l,))
             structure[key] = {l: one if sign == 1 else neg(one)}
         return AlgebraSpec("nambu4", 3, 4, field, ("e1", "e2", "e3", "e4"), structure)
     raise AlgebraError(f"unknown builtin algebra {name!r}; known: {', '.join(BUILTIN_NAMES)}")

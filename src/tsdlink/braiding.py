@@ -12,8 +12,9 @@ identities (braiding . inverse = identity, twist . twist-inverse =
 identity) are asserted then and there, so a wrong leg route fails fast
 instead of corrupting invariants downstream.  The leg routes of the
 inverse operators are path-dependent (see tsd module docstring): the
-reversing partner of the ternary path absorbs a swap, so its undo
-identities carry the outer legs in straight rather than reversed order.
+reversing partner of the ternary path equals the map after a swap of its
+last two inputs, so its undo identities carry the outer legs in straight
+rather than reversed order.
 
 On X^(2n) a generator is padded leg-locally: the leg table of a power of
 the braiding or the twist (squared up by ``power``), memoized once per kit
@@ -115,7 +116,7 @@ def build_twist(pair: TsdPair) -> SparseOperator:
 def build_twist_inverse(pair: TsdPair) -> SparseOperator:
     d3 = delta_op(3, pair.dim, pair.field)
     # binary path: its own leg layout; ternary path: the twist layout run
-    # through the reversing partner (the partner's built-in swap undoes it)
+    # through the reversing partner (the map after a swap, which undoes it)
     route = _TWIST_INV_ROUTE_BIN if pair.algebra.arity == 2 else _TWIST_ROUTE
     op = _routed(pair, [pair.rev, pair.rev], route, [d3, d3])
     _assert_inverse("twist", build_twist(pair), op)
@@ -125,8 +126,8 @@ def build_twist_inverse(pair: TsdPair) -> SparseOperator:
 def _assert_inverse(name: str, forward: SparseOperator, backward: SparseOperator) -> None:
     identity = SparseOperator.identity(forward.in_rank, forward.dim, forward.field)
     for label, composite in (
-        (f"{name}-inverse . {name}", backward.compose(forward, cache=False)),
-        (f"{name} . {name}-inverse", forward.compose(backward, cache=False)),
+        (f"{name}-inverse . {name}", backward.compose(forward)),
+        (f"{name} . {name}-inverse", forward.compose(backward)),
     ):
         witness = composite.diff_witness(identity)
         if witness is not None:
@@ -186,8 +187,8 @@ def power(kit: BraidingKit, name: str, exponent: int) -> SparseOperator:
         prefix = 2 * prefix + (bit == "1")
         key = ("pow", name, sign * prefix)
         if key not in kit.cache:
-            op = op.compose(op, cache=False)
-            kit.cache[key] = (unit.compose(op, cache=False) if bit == "1" else op).materialized()
+            op = op.compose(op)
+            kit.cache[key] = (unit.compose(op) if bit == "1" else op).materialized()
         op = kit.cache[key]
     return op
 
@@ -231,36 +232,18 @@ def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> Valida
     report.add(compare("ybe", compose_chain([left, right, left]), compose_chain([right, left, right])))
 
     identity4 = SparseOperator.identity(4, dim, field)
-    report.add(compare("braiding-invertible", kit.braiding_inv.compose(kit.braiding, cache=False), identity4))
+    report.add(compare("braiding-invertible", kit.braiding_inv.compose(kit.braiding), identity4))
     identity2 = SparseOperator.identity(2, dim, field)
-    report.add(compare("twist-invertible", kit.twist_inv.compose(kit.twist, cache=False), identity2))
+    report.add(compare("twist-invertible", kit.twist_inv.compose(kit.twist), identity2))
     report.add(_check_filtration(kit))
 
     twist_left, twist_right = (padded_power(kit, "twist", 1, i, 2) for i in (1, 2))
-    report.add(
-        compare(
-            "slide-under",
-            kit.braiding.compose(twist_left, cache=False),
-            twist_right.compose(kit.braiding, cache=False),
-        )
-    )
-    report.add(
-        compare(
-            "slide-over",
-            kit.braiding.compose(twist_right, cache=False),
-            twist_left.compose(kit.braiding, cache=False),
-        )
-    )
+    report.add(compare("slide-under", kit.braiding.compose(twist_left), twist_right.compose(kit.braiding)))
+    report.add(compare("slide-over", kit.braiding.compose(twist_right), twist_left.compose(kit.braiding)))
 
     if dim <= far_commutation_max_dim:
         far_left, far_right = (crossing_operator(kit, i, 1, 4) for i in (1, 3))
-        report.add(
-            compare(
-                "far-commutation",
-                far_left.compose(far_right, cache=False),
-                far_right.compose(far_left, cache=False),
-            )
-        )
+        report.add(compare("far-commutation", far_left.compose(far_right), far_right.compose(far_left)))
     else:
         report.add(CheckResult("far-commutation", True, f"skipped (size guard, dim {dim} > {far_commutation_max_dim})"))
     return report

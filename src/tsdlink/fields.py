@@ -173,7 +173,11 @@ class PrimeField(Field):
         # accept the rendered form "r mod p" back (round-trip)
         if " mod " in text:
             lit, mod = text.split(" mod ", 1)
-            if int(mod.strip()) != self.p:
+            try:
+                modulus = int(mod)
+            except ValueError:
+                raise FieldError(f"malformed modulus in prime-field literal: {text!r}") from None
+            if modulus != self.p:
                 raise FieldError(f"literal {text!r} is for a different modulus")
             text = lit.strip()
         m = _LITERAL.match(text)
@@ -213,3 +217,23 @@ RATIONALS = RationalField()
 def require_same_field(a: Field, b: Field) -> None:
     if a != b:
         raise FieldError(f"field mismatch: {a!r} vs {b!r}")
+
+
+def _accumulate(target: dict, source: dict, field: Field, scale=None) -> None:
+    """target += scale * source for sparse key -> scalar maps, dropping entries that cancel to zero."""
+    add = field.add
+    mul = field.mul
+    zero = field.zero
+    for idx, v in source.items():
+        if scale is not None:
+            v = mul(scale, v)
+        cur = target.get(idx)
+        if cur is None:
+            if v != zero:
+                target[idx] = v
+        else:
+            s = add(cur, v)
+            if s == zero:
+                del target[idx]
+            else:
+                target[idx] = s

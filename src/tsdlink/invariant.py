@@ -111,27 +111,21 @@ def check_framed_braid_relations(kit: BraidingKit, n: int = 3) -> ValidationRepo
         report.add(
             compare(
                 f"braid-relation[s{i + 1},s{i + 2}]",
-                compose_chain([sigma[i], sigma[i + 1], sigma[i]], cache=False),
-                compose_chain([sigma[i + 1], sigma[i], sigma[i + 1]], cache=False),
+                compose_chain([sigma[i], sigma[i + 1], sigma[i]]),
+                compose_chain([sigma[i + 1], sigma[i], sigma[i + 1]]),
             )
         )
     for i in range(n):
         for j in range(i + 1, n):
-            report.add(
-                compare(
-                    f"twist-commute[t{i + 1},t{j + 1}]",
-                    tw[i].compose(tw[j], cache=False),
-                    tw[j].compose(tw[i], cache=False),
-                )
-            )
+            report.add(compare(f"twist-commute[t{i + 1},t{j + 1}]", tw[i].compose(tw[j]), tw[j].compose(tw[i])))
     for i in range(1, n + 1):
         for j in range(1, n):
             image = j + 1 if i == j else j if i == j + 1 else i
             report.add(
                 compare(
                     f"twist-push[t{i},s{j}]",
-                    tw[i - 1].compose(sigma[j - 1], cache=False),
-                    sigma[j - 1].compose(tw[image - 1], cache=False),
+                    tw[i - 1].compose(sigma[j - 1]),
+                    sigma[j - 1].compose(tw[image - 1]),
                 )
             )
     kit.cache[key] = report

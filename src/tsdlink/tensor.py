@@ -8,9 +8,11 @@ bare scalar.  A vector of X is simply a rank-1 tensor.
 
 Operators X^(in_rank) -> X^(out_rank) are stored column-sparsely: the
 column of a basis multi-index is itself a sparse tensor.  Columns are
-computed on first use and optionally cached, so composites and tensor
-powers never materialize entries that nothing asks for; the trace streams
-column by column.
+computed on first use, so nothing materializes entries that nothing asks
+for, and the trace streams column by column.  One rule says which columns
+are kept: a composite (``compose``, ``compose_chain``) recomputes its
+columns on every request and keeps none, a leaf map or tensor product
+keeps each column it computes, and a materialized operator holds all.
 
 An operator that acts on a few consecutive legs of a large tensor power
 (a braid generator on X^(2n)) is a ``LegLocalOperator``: its only stored
@@ -37,7 +39,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .braids import cycle_count
-from .fields import Field, require_same_field
+from .fields import Field, _accumulate, require_same_field
 
 
 class SparseTensor:
@@ -49,10 +51,6 @@ class SparseTensor:
         self.rank = rank
         self.entries = entries
         self.field = field
-
-    @classmethod
-    def zero(cls, rank: int, field: Field) -> "SparseTensor":
-        return cls(rank, {}, field)
 
     @classmethod
     def basis(cls, idx: tuple, field: Field) -> "SparseTensor":
@@ -97,26 +95,6 @@ class SparseTensor:
 def vector(coeffs: dict, field: Field) -> SparseTensor:
     """Rank-1 tensor from a basis-index -> scalar map (zeros dropped)."""
     return SparseTensor(1, {(i,): c for i, c in coeffs.items() if c != field.zero}, field)
-
-
-def _accumulate(target: dict, source: dict, field: Field, scale=None) -> None:
-    """target += scale * source, dropping entries that cancel to zero."""
-    add = field.add
-    mul = field.mul
-    zero = field.zero
-    for idx, v in source.items():
-        if scale is not None:
-            v = mul(scale, v)
-        cur = target.get(idx)
-        if cur is None:
-            if v != zero:
-                target[idx] = v
-        else:
-            s = add(cur, v)
-            if s == zero:
-                del target[idx]
-            else:
-                target[idx] = s
 
 
 def delta_n(x: SparseTensor, n: int) -> SparseTensor:
@@ -169,28 +147,19 @@ class SparseOperator:
     """Linear map X^(in_rank) -> X^(out_rank), stored column-sparsely.
 
     ``dim`` is the number of basis indices of X (d + 1).  Absent columns
-    are zero.  ``cache=False`` disables memoization for throwaway
-    composites whose columns are only ever requested once.
+    are zero.  Each column is kept once computed (see ``_Composite`` for
+    the operators that keep none).
     """
 
-    __slots__ = ("in_rank", "out_rank", "dim", "field", "_fn", "_cols", "_cache")
+    __slots__ = ("in_rank", "out_rank", "dim", "field", "_fn", "_cols")
 
-    def __init__(
-        self,
-        in_rank: int,
-        out_rank: int,
-        dim: int,
-        field: Field,
-        fn: Callable[[tuple], dict],
-        cache: bool = True,
-    ):
+    def __init__(self, in_rank: int, out_rank: int, dim: int, field: Field, fn: Callable[[tuple], dict]):
         self.in_rank = in_rank
         self.out_rank = out_rank
         self.dim = dim
         self.field = field
         self._fn = fn
         self._cols: dict = {}
-        self._cache = cache
 
     # -- constructors ------------------------------------------------------
 
@@ -231,9 +200,7 @@ class SparseOperator:
         """Image of the basis vector at idx.  Shared dict: do not mutate."""
         col = self._cols.get(idx)
         if col is None:
-            col = self._fn(idx)
-            if self._cache:
-                self._cols[idx] = col
+            col = self._cols[idx] = self._fn(idx)
         return col
 
     def apply_entries(self, entries: dict) -> dict:
@@ -254,23 +221,22 @@ class SparseOperator:
 
     # -- algebra -------------------------------------------------------------
 
-    def compose(self, other: "SparseOperator", cache: bool = True) -> "SparseOperator":
-        """self after other (self . other)."""
+    def compose(self, other: "SparseOperator") -> "SparseOperator":
+        """self after other (self . other), a composite that keeps no column."""
         if other.out_rank != self.in_rank:
             raise ValueError(
                 f"rank mismatch in composition: inner produces rank {other.out_rank}, outer takes rank {self.in_rank}"
             )
         require_same_field(self.field, other.field)
-        return SparseOperator(
+        return _Composite(
             other.in_rank,
             self.out_rank,
             self.dim,
             self.field,
             lambda idx: self.apply_entries(other.column(idx)),
-            cache=cache,
         )
 
-    def tensor(self, other: "SparseOperator", cache: bool = True) -> "SparseOperator":
+    def tensor(self, other: "SparseOperator") -> "SparseOperator":
         """Tensor-factor Kronecker product; in/out ranks add."""
         require_same_field(self.field, other.field)
         if self.dim != other.dim:
@@ -287,14 +253,7 @@ class SparseOperator:
                 return {}
             return {ia + ib: mul(va, vb) for ia, va in a.items() for ib, vb in b.items()}
 
-        return SparseOperator(
-            self.in_rank + other.in_rank,
-            self.out_rank + other.out_rank,
-            self.dim,
-            self.field,
-            col,
-            cache=cache,
-        )
+        return SparseOperator(self.in_rank + other.in_rank, self.out_rank + other.out_rank, self.dim, self.field, col)
 
     def trace(self):
         """Sum of diagonal entries."""
@@ -337,14 +296,28 @@ class SparseOperator:
         return None
 
 
-def compose_chain(ops: Iterable[SparseOperator], cache: bool = False) -> SparseOperator:
+class _Composite(SparseOperator):
+    """The result of ``compose``: every column request recomputes the column.
+
+    A composite's columns are read once per comparison or materialization,
+    so keeping them would only hold memory; its factors keep their own.
+    """
+
+    __slots__ = ()
+
+    def column(self, idx: tuple) -> dict:
+        """Image of the basis vector at idx, computed afresh."""
+        return self._fn(idx)
+
+
+def compose_chain(ops: Iterable[SparseOperator]) -> SparseOperator:
     """Compose a left-to-right chain: [A, B, C] -> A . B . C (C applied first)."""
     ops = list(ops)
     if not ops:
         raise ValueError("empty composition")
     out = ops[-1]
     for op in reversed(ops[:-1]):
-        out = op.compose(out, cache=cache)
+        out = op.compose(out)
     return out
 
 
@@ -466,7 +439,7 @@ class LegLocalOperator(SparseOperator):
     __slots__ = ("steps", "perms")
 
     def __init__(self, rank: int, dim: int, field: Field, steps: tuple, perms: tuple):
-        super().__init__(rank, rank, dim, field, None, cache=False)  # ``column`` is overridden
+        super().__init__(rank, rank, dim, field, None)  # ``column`` is overridden
         self.steps = steps  # in the order they are applied
         self.perms = perms
 
@@ -489,13 +462,13 @@ class LegLocalOperator(SparseOperator):
             raise ValueError(f"{legs} legs from leg {offset} do not fit in rank {rank}")
         return cls(rank, dim, field, ((rows, dim ** (rank - offset - legs), dim**legs),), ((offset, perm),))
 
-    def compose(self, other: SparseOperator, cache: bool = True) -> SparseOperator:
+    def compose(self, other: SparseOperator) -> SparseOperator:
         """self . other; two leg-local words of one rank concatenate their steps."""
         if isinstance(other, LegLocalOperator) and (other.in_rank, other.dim) == (self.in_rank, self.dim):
             require_same_field(self.field, other.field)
             steps, perms = other.steps + self.steps, other.perms + self.perms
             return LegLocalOperator(self.in_rank, self.dim, self.field, steps, perms)
-        return super().compose(other, cache=cache)
+        return super().compose(other)
 
     def _diagonal_sum(self):
         """dim ** (cycles of the composite leg permutation of the steps): O(steps * legs)."""
@@ -507,13 +480,13 @@ class LegLocalOperator(SparseOperator):
         return self.field.from_int(self.dim ** cycle_count(s + 1 for s in slots))
 
 
-def tensor_chain(ops: Iterable[SparseOperator], cache: bool = True) -> SparseOperator:
+def tensor_chain(ops: Iterable[SparseOperator]) -> SparseOperator:
     ops = list(ops)
     if not ops:
         raise ValueError("empty tensor product")
     out = ops[0]
     for op in ops[1:]:
-        out = out.tensor(op, cache=cache)
+        out = out.tensor(op)
     return out
 
 

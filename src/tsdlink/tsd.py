@@ -4,12 +4,15 @@ Two construction paths share one comultiplication (index 0 grouplike,
 indices >= 1 primitive):
 
 * binary path (arity-2 algebra): the ternary map sends
-  (a,x)(x)(b,y)(x)(c,z) to (abc, bcx + c[x,y] + b[x,z] + [[x,y],z]); its
-  reversing partner flips the signs of the two single-bracket terms.  Both
-  are nestings of the binary maps (a,x)(x)(b,y) |-> (ab, bx +- [x,y]).
+  (a,x)(x)(b,y)(x)(c,z) to (abc, bcx + c[x,y] + b[x,z] + [[x,y],z]), a
+  nesting of the binary map (a,x)(x)(b,y) |-> (ab, bx + [x,y]); its
+  reversing partner nests (ab, bx - [x,y]).
 * ternary path (arity-3 algebra): (a,x)(x)(b,y)(x)(c,z) |->
-  (abc, bcx + [x,y,z]); the reversing partner composes with the swap of
-  the last two inputs, i.e. (abc, bcx - [x,y,z]).
+  (abc, bcx + [x,y,z]).
+
+On both paths the reversing partner is the same map with its
+single-bracket terms negated (c[x,y] and b[x,z]; [x,y,z]), which on the
+ternary path equals the map after the swap of its last two inputs.
 
 Every identity checked here is an exact operator equality, evaluated on
 all basis columns.  Sweedler bookkeeping is pinned by explicit routing
@@ -84,11 +87,11 @@ def _embed(coeffs: dict) -> dict:
     return {(i,): c for i, c in coeffs.items()}
 
 
-def _ternary_map(spec: AlgebraSpec, single_sign) -> SparseOperator:
-    """X^3 -> X on basis columns; single-bracket terms scaled by single_sign.
+def _ternary_map(spec: AlgebraSpec, sign) -> SparseOperator:
+    """X^3 -> X on basis columns, with every term of exactly one bracket scaled by sign.
 
-    single_sign is one for build_T and minus one for the binary-path
-    reversing partner; the ternary path has no single-bracket terms.
+    Those terms are c[x,y] and b[x,z] on the binary path and [x,y,z] on the
+    ternary path.  sign is one for build_T and minus one for build_T_tilde.
     """
     from .algebra import bracket2  # local to keep module load light
 
@@ -101,13 +104,13 @@ def _ternary_map(spec: AlgebraSpec, single_sign) -> SparseOperator:
             return {(0,): one} if j == 0 and k == 0 else {}
         if j == 0 and k == 0:
             return {(i,): one}
-        if spec.arity == 3:
-            return {} if j == 0 or k == 0 else _embed(spec.bracket_basis((i, j, k)))
-        if j == 0 or k == 0:
-            # exactly one of j, k is nonzero: c[x,y] or b[x,z]
-            single = spec.bracket_basis((i, j or k))
-            return _embed({l: field.mul(single_sign, c) for l, c in single.items()})
-        return _embed(bracket2(spec, bracket2(spec, {i: one}, {j: one}), {k: one}))
+        if spec.arity == 2 and j and k:
+            return _embed(bracket2(spec, bracket2(spec, {i: one}, {j: one}), {k: one}))
+        if spec.arity == 3 and not (j and k):
+            return {}
+        # the single bracket: [x,y,z], or c[x,y] or b[x,z] (one of j, k is zero)
+        single = spec.bracket_basis((i, j, k) if spec.arity == 3 else (i, j or k))
+        return _embed({l: field.mul(sign, c) for l, c in single.items()})
 
     return SparseOperator(3, 1, spec.dim + 1, field, col)
 
@@ -119,14 +122,9 @@ def build_T(spec: AlgebraSpec) -> SparseOperator:
 
 
 def build_T_tilde(spec: AlgebraSpec) -> SparseOperator:
-    """The reversing partner of build_T."""
+    """The reversing partner of build_T: its single-bracket terms negated."""
     ensure_validated(spec)
-    field = spec.field
-    if spec.arity == 3:
-        # compose the forward map with the swap of the last two inputs
-        swap_last_two = SparseOperator.permutation((0, 2, 1), spec.dim + 1, field)
-        return build_T(spec).compose(swap_last_two)
-    return _ternary_map(spec, field.neg(field.one))
+    return _ternary_map(spec, spec.field.neg(spec.field.one))
 
 
 def build_q(spec: AlgebraSpec) -> SparseOperator:
@@ -172,13 +170,10 @@ def _tsd_sides(pair: TsdPair, outer: SparseOperator, inner: SparseOperator):
     """LHS/RHS of the self-distributivity diagram for given outer/inner maps."""
     dim, field = pair.dim, pair.field
     one1 = SparseOperator.identity(1, dim, field)
-    lhs = outer.compose(tensor_chain([inner, one1, one1]), cache=False)
+    lhs = outer.compose(tensor_chain([inner, one1, one1]))
     route = SparseOperator.permutation(INTERLEAVE_9, dim, field)
     expand = tensor_chain([one1, one1, one1, delta_op(3, dim, field), delta_op(3, dim, field)])
-    rhs = compose_chain(
-        [outer, tensor_chain([inner, inner, inner]), route, expand],
-        cache=False,
-    )
+    rhs = compose_chain([outer, tensor_chain([inner, inner, inner]), route, expand])
     return lhs, rhs
 
 
@@ -206,10 +201,10 @@ def _check_coalgebra_morphism(pair: TsdPair) -> list[CheckResult]:
     eps3 = tensor_chain([eps, eps, eps])
     results = []
     for label, m in (("", pair.op), ("~", pair.rev)):
-        lhs = d3.compose(m, cache=False)
-        rhs = compose_chain([tensor_chain([m, m, m]), route, tensor_chain([d3, d3, d3])], cache=False)
+        lhs = d3.compose(m)
+        rhs = compose_chain([tensor_chain([m, m, m]), route, tensor_chain([d3, d3, d3])])
         results.append(compare(f"coalgebra-morphism{label}", lhs, rhs))
-        results.append(compare(f"counit-compat{label}", eps.compose(m, cache=False), eps3))
+        results.append(compare(f"counit-compat{label}", eps.compose(m), eps3))
     return results
 
 
@@ -231,7 +226,7 @@ def _check_reversibility(pair: TsdPair) -> list[CheckResult]:
     for order_name, route in (("def-legs", def_route), ("proof-legs", lem_route)):
         perm = SparseOperator.permutation(route, dim, field)
         for pair_name, outer, inner in (("rev.fwd", pair.rev, pair.op), ("fwd.rev", pair.op, pair.rev)):
-            lhs = compose_chain([outer, tensor_chain([inner, one1, one1]), perm, expand], cache=False)
+            lhs = compose_chain([outer, tensor_chain([inner, one1, one1]), perm, expand])
             results.append(compare(f"reversibility[{pair_name},{order_name}]", lhs, target))
     return results
 
@@ -255,7 +250,7 @@ def _check_q_self_distributive(pair: TsdPair) -> list[CheckResult]:
     dim, field = pair.dim, pair.field
     q = build_q(pair.algebra)
     one1 = SparseOperator.identity(1, dim, field)
-    lhs = q.compose(tensor_chain([q, one1]), cache=False)
+    lhs = q.compose(tensor_chain([q, one1]))
     rhs = compose_chain(
         [
             q,
@@ -263,7 +258,6 @@ def _check_q_self_distributive(pair: TsdPair) -> list[CheckResult]:
             SparseOperator.permutation(_SD_MIDDLE_SWAP, dim, field),
             tensor_chain([one1, one1, delta_op(2, dim, field)]),
         ],
-        cache=False,
     )
     results = [compare("q-self-distributive", lhs, rhs)]
     results.append(compare("tsd-is-nested-q", pair.op, lhs))

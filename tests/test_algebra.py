@@ -251,8 +251,15 @@ def test_load_algebra_schema_errors():
         (lambda doc: doc.update(brackets=[5]), "brackets must be a list"),
         (lambda doc: doc["brackets"][0].update(value=[3]), "value must be a list"),
         (lambda doc: doc["brackets"][0].update(value=3), "value must be a list"),
+        (lambda doc: doc.update(arity=2.0), "arity must be 2 or 3, got 2.0"),
+        (lambda doc: doc.update(dim=True), "dim must be a positive integer, got True"),
+        (lambda doc: doc["brackets"][0].update(args=[True, 2]), r"args \[True, 2\]: index out of range"),
+        (lambda doc: doc["brackets"][0]["value"][0].update(idx=True), "value index True out of range"),
     ],
-    ids=["brackets-int", "bracket-entry-int", "value-term-int", "value-int"],
+    ids=[
+        "brackets-int", "bracket-entry-int", "value-term-int", "value-int",
+        "arity-float", "dim-bool", "args-bool", "idx-bool",
+    ],
 )
 def test_load_algebra_rejects_malformed_brackets(edit, message):
     doc = dump_algebra(algebra("sl2"))
@@ -300,3 +307,19 @@ def test_validation_mark_follows_spec_content():
     assert not validate_algebra(spec).passed
     with pytest.raises(AlgebraError, match="jacobi"):
         make_tsd_pair(spec)
+
+
+def test_passing_validation_is_not_repeated(monkeypatch):
+    import tsdlink.algebra as algebra_module
+    from tsdlink.tsd import make_tsd_pair
+
+    mutant = builtin_algebra("sl2")
+    mutant.structure[(1, 2)] = {2: 3}
+    assert not validate_algebra(mutant).passed
+    assert getattr(mutant, "_validated", None) is None  # a failing report marks nothing
+    spec = builtin_algebra("sl2")
+    assert validate_algebra(spec).passed
+    calls = []
+    monkeypatch.setattr(algebra_module, "validate_algebra", lambda s: calls.append(s) or validate_algebra(s))
+    make_tsd_pair(spec)
+    assert calls == []

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,44 @@ def test_malformed_brackets_are_usage_errors(tmp_path, capsys):
     code, text = run(["validate", str(path)])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == "error: brackets must be a list of {args, value} objects\n"
+
+
+def _bad_modulus(doc):
+    doc["field"] = {"kind": "prime", "p": 7}
+    doc["brackets"][0]["value"][0]["coeff"] = "1 mod x"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.update(arity=2.0), "arity must be 2 or 3, got 2.0"),
+        (_bad_modulus, "malformed modulus in prime-field literal: '1 mod x'"),
+    ],
+    ids=["arity-float", "coeff-bad-modulus"],
+)
+def test_malformed_numbers_are_usage_errors(edit, message, tmp_path, capsys):
+    from tsdlink.algebra import builtin_algebra, dump_algebra
+
+    doc = dump_algebra(builtin_algebra("sl2"))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(["validate", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_all_bundled_matches_fixture():
+    """`check ALG --property all` on the six bundled algebras: text and exit code, byte for byte.
+
+    The fixture holds, per algebra, the command line after "$ ", its output
+    and "exit: CODE".
+    """
+    parts = []
+    for name in ("abelian1", "abelian2", "heisenberg3", "so3", "sl2", "nambu4"):
+        code, text = run(["check", name, "--property", "all"])
+        parts.append(f"$ tsdlink check {name} --property all\n{text}exit: {code}\n")
+    assert "".join(parts) == (Path(__file__).parent / "fixtures" / "check_all.txt").read_text()
 
 
 def test_check_ybe_nambu4():

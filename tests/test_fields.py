@@ -42,6 +42,10 @@ def test_parse_errors():
         PrimeField(6)
     with pytest.raises(FieldError):
         PrimeField(7).parse("1/0")
+    with pytest.raises(FieldError, match="malformed modulus"):
+        PrimeField(7).parse("1 mod x")
+    with pytest.raises(FieldError, match="different modulus"):
+        PrimeField(7).parse("1 mod 11")
 
 
 def test_arith_examples():

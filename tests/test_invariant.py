@@ -61,7 +61,7 @@ def test_representation_concatenation_homomorphism():
         w2 = parse_braid_word(letters2, 3)
         combined = parse_braid_word(letters1 + " " + letters2, 3)
         lhs = representation(k, combined)
-        rhs = representation(k, w1).compose(representation(k, w2), cache=False)
+        rhs = representation(k, w1).compose(representation(k, w2))
         assert lhs.diff_witness(rhs) is None
 
 
@@ -147,7 +147,7 @@ def test_normalize_preserves_represented_operator():
                 ops.extend([gen] * abs(exp))
             else:
                 ops.append(_padded(k, f"tw{exp}", power(k, "twist", exp), index, n))
-        letterwise = compose_chain(ops, cache=False)
+        letterwise = compose_chain(ops)
         assert letterwise.diff_witness(representation(k, normalize(word))) is None, text
 
 
@@ -169,7 +169,7 @@ def test_representation_matches_tensor_padding(name, text, n):
         base = k.braiding if exp > 0 else k.braiding_inv
         ops.extend([padded_reference(k, base, index, n)] * abs(exp))
     ops.append(tensor_chain([power(k, "twist", f) for f in word.framings]))
-    assert same_columns(compose_chain(ops, cache=False), representation(k, word)), text
+    assert same_columns(compose_chain(ops), representation(k, word)), text
 
 
 @pytest.mark.parametrize("name,dim", BUNDLED)

@@ -5,8 +5,10 @@ import pytest
 
 from tsdlink.fields import RATIONALS, PrimeField
 from tsdlink.tensor import (
+    LegLocalOperator,
     SparseOperator,
     SparseTensor,
+    compose_chain,
     counit,
     counit_op,
     delta_n,
@@ -98,6 +100,20 @@ def test_op_compose():
     both = up.compose(down)
     assert both.column((1,)) == {(1,): 1}
     assert both.column((0,)) == {}
+
+
+def test_composites_keep_no_columns_and_other_operators_do():
+    calls = []
+    leaf = SparseOperator(1, 1, 2, F, lambda idx: calls.append(idx) or {idx: 1})
+    identity = SparseOperator.identity(1, 2, F)
+    fallback = LegLocalOperator(1, 2, F, (), ()).compose(leaf)
+    for composite in (leaf.compose(identity), compose_chain([identity, leaf]), fallback):
+        assert composite.column((1,)) == composite.column((1,)) == {(1,): 1}
+        assert not composite._cols
+    assert calls == [(1,)]  # the leaf computed its column once
+    product = leaf.tensor(identity)
+    assert product.column((1, 0)) == product.column((1, 0)) == {(1, 0): 1}
+    assert product._cols == {(1, 0): {(1, 0): 1}}
 
 
 def test_op_tensor():

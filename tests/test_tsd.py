@@ -1,8 +1,8 @@
 import pytest
 
-from helpers import BUNDLED, algebra, tsd_pair
+from helpers import BUNDLED, algebra, same_columns, tsd_pair
 from tsdlink.algebra import AlgebraError, builtin_algebra
-from tsdlink.fields import RATIONALS
+from tsdlink.fields import RATIONALS, PrimeField
 from tsdlink.tensor import SparseOperator, iter_indices
 from tsdlink.tsd import TsdPair, build_q, build_T, build_T_tilde, check_tsd_properties, make_tsd_pair
 
@@ -148,11 +148,12 @@ def test_tsd_equals_nested_q_columnwise():
 
 
 def test_ternary_rev_is_forward_after_swap():
-    spec = algebra("nambu4")
-    T = build_T(spec)
-    Tt = build_T_tilde(spec)
-    swap = SparseOperator.permutation((0, 2, 1), 5, F)
-    assert Tt.diff_witness(T.compose(swap)) is None
+    # the reversing partner equals the map after the swap of its last two
+    # inputs, column by column and in entry order, over Q and F_10007
+    for field in (F, PrimeField(10007)):
+        spec = builtin_algebra("nambu4", field=field)
+        swap = SparseOperator.permutation((0, 2, 1), 5, field)
+        assert same_columns(build_T_tilde(spec), build_T(spec).compose(swap)), field
 
 
 def test_arity3_abelian_path():
