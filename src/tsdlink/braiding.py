@@ -16,15 +16,16 @@ reversing partner of the ternary path equals the map after a swap of its
 last two inputs, so its undo identities carry the outer legs in straight
 rather than reversed order.
 
-On X^(2n) a generator is padded leg-locally: the leg table of a power of
-the braiding or the twist (squared up by ``power``), memoized once per kit
-under the generator's name, acts on the legs of its strands and nothing is
-stored for the other legs.  The padded operators are memoized per kit too
-and keep no column cache, so the property checks, the framed-braid
-relations and the trace share them without filling memory.  The leg
-permutation of each table, its degree-preserving part, is extracted by the
-first trace that uses it, which asserts the filtration that
-``check_braiding`` reports as ``filtration``.
+On X^(2n) a generator is one padded step (see the tensor module): the
+table of a power of the braiding or the twist (squared up by ``power``),
+the single step of its materialization, is memoized once per kit under the
+generator's name and acts on the legs of its strands; nothing is stored
+for the other legs.  The padded operators are memoized per kit too, so the
+property checks, the framed-braid relations and the trace share them
+without filling memory.  The leg permutation of each table, its
+degree-preserving part, is extracted by the first trace that uses it,
+which asserts the filtration that ``check_braiding`` reports as
+``filtration``.
 """
 
 from __future__ import annotations
@@ -34,13 +35,11 @@ from functools import lru_cache, partial
 
 from .algebra import AlgebraSpec, CheckResult, ValidationReport
 from .tensor import (
-    LegLocalOperator,
     SparseOperator,
     compose_chain,
     degree_raise,
     delta_op,
     leg_permutation,
-    leg_table,
     tensor_chain,
 )
 from .tsd import TsdPair, compare, make_tsd_pair
@@ -65,6 +64,9 @@ _TWIST_ROUTE = (0, 1, 4, 3, 2, 5)
 # (x1, x2, x3, y1, y2, y3) -> (x1, y2, x2, y1, y3, x3): binary twist inverse.
 _TWIST_INV_ROUTE_BIN = (0, 2, 5, 3, 1, 4)
 
+# Far commutation lives on X^8; it is checked only up to this dim = d + 1.
+_FAR_COMMUTATION_MAX_DIM = 3
+
 
 @dataclass(eq=False)
 class BraidingKit:
@@ -73,7 +75,7 @@ class BraidingKit:
     braiding_inv: SparseOperator   # X^4 -> X^4
     twist: SparseOperator          # X^2 -> X^2
     twist_inv: SparseOperator      # X^2 -> X^2
-    # memo for leg tables, padded generators, twist powers, relation reports
+    # memo for generator tables, padded generators, generator powers, relation reports
     cache: dict = dataclass_field(default_factory=dict, repr=False)
 
     @property
@@ -153,22 +155,23 @@ def make_braiding_kit(source: AlgebraSpec | TsdPair) -> BraidingKit:
 # relations and the trace
 
 
-def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: int) -> LegLocalOperator:
+def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: int) -> SparseOperator:
     """base on the legs of strand `strand` onward, of n strands; identity elsewhere.
 
-    The leg table of `base` is memoized in the kit under `name`, and so is
-    the padded operator, which holds only a reference to that table, and a
-    memoized extractor of its leg permutation, which a trace calls first.
+    The table of `base` (the one step of its materialization) is memoized
+    in the kit under `name`, and so is the padded operator, which holds only
+    a reference to that table, and a memoized extractor of its leg
+    permutation, which a trace calls first.
     """
     key = ("pad", name, strand, n)
     op = kit.cache.get(key)
     if op is None:
         rows = kit.cache.get(("table", name))
         if rows is None:
-            rows = kit.cache[("table", name)] = leg_table(base)
+            rows = kit.cache[("table", name)] = base.materialized().steps[0][0]
             kit.cache[("perm", name)] = lru_cache(maxsize=None)(partial(leg_permutation, base))
         perm = kit.cache[("perm", name)]
-        op = LegLocalOperator.padded(rows, perm, base.in_rank, 2 * (strand - 1), 2 * n, kit.dim, kit.field)
+        op = SparseOperator.padded(rows, perm, base.in_rank, 2 * (strand - 1), 2 * n, kit.dim, kit.field)
         kit.cache[key] = op
     return op
 
@@ -193,14 +196,14 @@ def power(kit: BraidingKit, name: str, exponent: int) -> SparseOperator:
     return op
 
 
-def padded_power(kit: BraidingKit, name: str, exponent: int, strand: int, n: int) -> LegLocalOperator:
+def padded_power(kit: BraidingKit, name: str, exponent: int, strand: int, n: int) -> SparseOperator:
     """kit.<name>^exponent on the legs of strand `strand` onward, of n strands, as one step."""
     label = {1: f"{name}+", -1: f"{name}-"}.get(exponent, f"{name}^{exponent}")
     return _padded(kit, label, power(kit, name, exponent), strand, n)
 
 
-def crossing_operator(kit: BraidingKit, index: int, exponent: int, n: int) -> LegLocalOperator:
-    """sigma_index^exponent on X^(2n), as one leg-local step."""
+def crossing_operator(kit: BraidingKit, index: int, exponent: int, n: int) -> SparseOperator:
+    """sigma_index^exponent on X^(2n), as one padded step."""
     return padded_power(kit, "braiding", exponent, index, n)
 
 
@@ -217,11 +220,11 @@ def _check_filtration(kit: BraidingKit) -> CheckResult:
     return CheckResult("filtration", True, f"{sum(op.dim ** op.in_rank for op in generators)} columns")
 
 
-def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> ValidationReport:
+def check_braiding(kit: BraidingKit) -> ValidationReport:
     """Braid equation, inverse identities, filtration, slide identities, far commutation.
 
     Far commutation lives on X^8 and is only checked when the algebra
-    dimension d satisfies d + 1 <= far_commutation_max_dim (size guard).
+    dimension d satisfies d + 1 <= _FAR_COMMUTATION_MAX_DIM (size guard).
     The filtration check asserts what the trace relies on: each generator is
     its degree-preserving part plus terms of strictly lower L-degree.
     """
@@ -241,9 +244,9 @@ def check_braiding(kit: BraidingKit, far_commutation_max_dim: int = 3) -> Valida
     report.add(compare("slide-under", kit.braiding.compose(twist_left), twist_right.compose(kit.braiding)))
     report.add(compare("slide-over", kit.braiding.compose(twist_right), twist_left.compose(kit.braiding)))
 
-    if dim <= far_commutation_max_dim:
+    if dim <= _FAR_COMMUTATION_MAX_DIM:
         far_left, far_right = (crossing_operator(kit, i, 1, 4) for i in (1, 3))
         report.add(compare("far-commutation", far_left.compose(far_right), far_right.compose(far_left)))
     else:
-        report.add(CheckResult("far-commutation", True, f"skipped (size guard, dim {dim} > {far_commutation_max_dim})"))
+        report.add(CheckResult("far-commutation", True, f"skipped (size guard, dim {dim} > {_FAR_COMMUTATION_MAX_DIM})"))
     return report

@@ -3,14 +3,14 @@
 Each strand occupies a pair of tensor factors.  A crossing generator on
 strands (i, i+1) acts by the braiding on legs 2(i-1) .. 2i+1; a framing
 twist on strand i acts by the twist on that strand's pair.  A normalized
-word maps to one leg-local word (see the tensor module): its crossing
-letters composed left to right, applied after one twist^(t_i) step per
-framed strand.  The trace of that operator is the link invariant; it is
-dim ** (cycles of the composite leg permutation of its steps), which is
-exact because every generator is filtered (see the tensor module), and it
-reads no column.
+word maps to one word of padded steps (see the tensor module): its
+crossing letters composed left to right, applied after one twist^(t_i)
+step per framed strand; the empty braid word is the empty word of steps.
+The trace of that operator is the link invariant; it is dim ** (cycles of
+the composite leg permutation of its steps), which is exact because every
+generator is filtered (see the tensor module), and it reads no column.
 
-Padded generators, their leg tables and leg permutations (built in the
+Padded generators, their tables and leg permutations (built in the
 braiding module) and generator powers are memoized per kit, so repeated
 traces (the Markov harness) and the braiding checks never rebuild them.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import ValidationReport
 from .braiding import BraidingKit, crossing_operator, padded_power
 from .braids import FramedBraidWord, MarkovTrace, normalize, random_markov_equivalent
-from .tensor import LegLocalOperator, compose_chain
+from .tensor import SparseOperator, compose_chain
 from .tsd import compare
 
 
@@ -43,10 +43,10 @@ class InvariantResult:
     timing_ms: int
 
 
-def representation(kit: BraidingKit, word: FramedBraidWord) -> LegLocalOperator:
+def representation(kit: BraidingKit, word: FramedBraidWord) -> SparseOperator:
     """The operator on X^(2n) represented by a normalized framed word.
 
-    One leg-local word: the crossing letters left to right, after one
+    One word of padded steps: the crossing letters left to right, after one
     twist-power step per framed strand; the empty word has no steps.  A
     letter s_i^e is one step of R^e from |e| = 4 on, where squaring first
     saves a composition, else |e| steps of R^(+-1) (column entries then keep
@@ -68,7 +68,7 @@ def representation(kit: BraidingKit, word: FramedBraidWord) -> LegLocalOperator:
         for strand, f in reversed(list(enumerate(word.framings, 1)))
         if f
     )
-    return compose_chain([*ops, LegLocalOperator(2 * n, kit.dim, kit.field, (), ())])
+    return compose_chain([*ops, SparseOperator.identity(2 * n, kit.dim, kit.field)])
 
 
 def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -> InvariantResult:
@@ -77,7 +77,7 @@ def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -
     operator_dim = kit.dim ** (2 * word.strands)
     if operator_dim > cap:
         raise DimensionCapError(
-            f"operator dimension {operator_dim} exceeds cap {cap}; "
+            f"operator dimension {kit.dim}^{2 * word.strands} exceeds cap {cap}; "
             "the cap bounds the dimension dim^(2n) of the represented operator; use fewer strands or a larger --cap"
         )
     start = time.monotonic()

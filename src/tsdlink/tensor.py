@@ -6,30 +6,36 @@ for the i-th basis vector of L.  A rank-m tensor is a map from m-tuples of
 basis indices to nonzero scalars; rank 0 tensors (empty tuple key) hold a
 bare scalar.  A vector of X is simply a rank-1 tensor.
 
-Operators X^(in_rank) -> X^(out_rank) are stored column-sparsely: the
-column of a basis multi-index is itself a sparse tensor.  Columns are
-computed on first use, so nothing materializes entries that nothing asks
-for, and the trace streams column by column.  One rule says which columns
-are kept: a composite (``compose``, ``compose_chain``) recomputes its
-columns on every request and keeps none, a leaf map or tensor product
-keeps each column it computes, and a materialized operator holds all.
+Operators X^(in_rank) -> X^(out_rank) are words of steps on integer keys.
+The key of an index tuple is its value in base dim (first leg most
+significant), so keys run in ``iter_indices`` order.  A step ``(rows,
+stride, width, shift)`` acts on the k consecutive legs whose lowest leg
+has place value ``stride``: ``width = dim**k`` and ``rows[loc] =
+((out_loc - loc, value), ...)`` is the image of the legs' digits ``loc``.
+A step from k to k' legs moves the legs above it by ``shift = stride *
+(dim**k' - width)``; a square step has shift 0.  ``_run_steps`` is the one
+loop that applies a word to a key.
 
-An operator that acts on a few consecutive legs of a large tensor power
-(a braid generator on X^(2n)) is a ``LegLocalOperator``: its only stored
-entries are the ``leg_table`` of the small operator, applied to the legs'
-digits of a base-(d+1) integer key, and composing two of one rank
-concatenates their steps.  Its trace reads no entry: the degree-preserving
-part of each step (see ``degree_raise``) is a permutation of its legs
-(``leg_permutation``), and the trace is dim ** (cycles of their
-composite).  ``tensor``/``tensor_chain`` build the kit's operators and the
-TSD identities.
+A leaf map (a column function, ``from_columns``, a permutation, the
+comultiplication, the counit) is one step whose rows are computed on first
+use and kept; ``identity`` is the empty word.  ``compose`` concatenates
+words; ``tensor`` runs the left factor's steps past the right factor's
+input legs, then the right factor's steps.  Nothing else stores entries: a
+column encodes its index once, runs the steps and decodes once; a
+comparison runs both words key by key and decodes only the first
+differing key; ``materialized`` runs every key into one step.
+
+A braid generator on X^(2n) is one step of the kit's table on the legs of
+its strands (``padded``), marked with its first leg and a memoized
+extractor of its ``leg_permutation``, the degree-preserving part of the
+table (see ``degree_raise``).  The trace of a word whose every step is
+marked reads no entry: it is dim ** (cycles of the composite permutation).
 
 Permutations act in the push convention: applying ``perm`` routes input
 factor i to output slot perm[i] (0-based).  Every leg-routing table in the
 higher layers is written in this one convention.
 
-Tensors and operators are immutable by contract; column dicts returned by
-``SparseOperator.column`` are shared and must not be mutated.
+Tensors and operators are immutable by contract.
 """
 
 from __future__ import annotations
@@ -143,36 +149,118 @@ def iter_indices(dim: int, rank: int) -> Iterator[tuple]:
     return product(range(dim), repeat=rank)
 
 
-class SparseOperator:
-    """Linear map X^(in_rank) -> X^(out_rank), stored column-sparsely.
+# --------------------------------------------------------------------------
+# The key-space kernel
 
-    ``dim`` is the number of basis indices of X (d + 1).  Absent columns
-    are zero.  Each column is kept once computed (see ``_Composite`` for
-    the operators that keep none).
+
+def _encode(idx, dim: int) -> int:
+    """The integer key of an index tuple: its value in base dim, first leg most significant."""
+    key = 0
+    for i in idx:
+        key = key * dim + i
+    return key
+
+
+@lru_cache(maxsize=None)
+def _codec(dim: int, rank: int) -> tuple:
+    """(hi, lo, split): the index tuple of key k is hi[k // split] + lo[k % split]."""
+    low = rank // 2
+    return list(iter_indices(dim, rank - low)), list(iter_indices(dim, low)), dim**low
+
+
+def _decode(key: int, dim: int, rank: int) -> tuple:
+    hi, lo, split = _codec(dim, rank)
+    return hi[key // split] + lo[key % split]
+
+
+class _Rows(dict):
+    """The rows of a leaf map, each computed from its column function on first use and kept."""
+
+    __slots__ = ("fn", "dim", "in_rank", "zero")
+
+    def __init__(self, fn: Callable[[tuple], dict], dim: int, in_rank: int, zero):
+        self.fn, self.dim, self.in_rank, self.zero = fn, dim, in_rank, zero
+
+    def __missing__(self, loc: int) -> tuple:
+        dim, zero = self.dim, self.zero
+        column = self.fn(_decode(loc, dim, self.in_rank))
+        row = self[loc] = tuple((_encode(out, dim) - loc, v) for out, v in column.items() if v != zero)
+        return row
+
+
+def _run_steps(steps: tuple, field: Field, key: int) -> tuple:
+    """The image of the basis vector of an integer key: (key, c, None) for one term, else (_, _, dict)."""
+    one = field.one
+    # one term (key, c) until a row has more than one entry, then a dict
+    c, cur = one, None
+    for rows, stride, width, shift in steps:
+        if cur is None:
+            row = rows[key // stride % width]
+            if shift:
+                key += key // (stride * width) * shift
+            if len(row) == 1:
+                delta, v = row[0]
+                key += delta * stride
+                c = v if c == one else field.mul(c, v)
+                continue
+            cur = {key + delta * stride: v if c == one else field.mul(c, v) for delta, v in row}
+            continue
+        nxt: dict = {}
+        for key, c in cur.items():
+            row = rows[key // stride % width]
+            if shift:
+                key += key // (stride * width) * shift
+            for delta, v in row:
+                out = key + delta * stride
+                if c != one:
+                    v = field.mul(c, v)
+                prev = nxt.get(out)
+                if prev is None:
+                    nxt[out] = v
+                else:
+                    s = field.add(prev, v)
+                    if s == field.zero:
+                        del nxt[out]
+                    else:
+                        nxt[out] = s
+        cur = nxt
+    return key, c, cur
+
+
+def _image(run: tuple) -> dict:
+    """The image a ``_run_steps`` result stands for, as a key -> value dict."""
+    key, c, cur = run
+    return {key: c} if cur is None else cur
+
+
+class SparseOperator:
+    """Linear map X^(in_rank) -> X^(out_rank): a word of steps on integer keys.
+
+    ``dim`` is the number of basis indices of X (d + 1).  ``steps`` run in
+    order (see the module docstring); ``perms`` holds, step for step, the
+    ``(offset, perm)`` marker of a padded kit generator, or None.  The
+    constructor makes the one-step leaf of a column function
+    ``fn(idx) -> {out_idx: value}``, whose rows are computed on first use.
     """
 
-    __slots__ = ("in_rank", "out_rank", "dim", "field", "_fn", "_cols")
+    __slots__ = ("in_rank", "out_rank", "dim", "field", "steps", "perms")
 
     def __init__(self, in_rank: int, out_rank: int, dim: int, field: Field, fn: Callable[[tuple], dict]):
-        self.in_rank = in_rank
-        self.out_rank = out_rank
-        self.dim = dim
-        self.field = field
-        self._fn = fn
-        self._cols: dict = {}
+        width = dim**in_rank
+        self.in_rank, self.out_rank, self.dim, self.field = in_rank, out_rank, dim, field
+        self.steps = ((_Rows(fn, dim, in_rank, field.zero), 1, width, dim**out_rank - width),)
+        self.perms = (None,)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_columns(cls, in_rank: int, out_rank: int, dim: int, field: Field, columns: dict) -> "SparseOperator":
-        op = cls(in_rank, out_rank, dim, field, lambda idx: columns.get(idx, {}))
-        op._cols = columns
-        return op
+        return cls(in_rank, out_rank, dim, field, lambda idx: columns.get(idx, {}))
 
     @classmethod
     def identity(cls, rank: int, dim: int, field: Field) -> "SparseOperator":
-        one = field.one
-        return cls(rank, rank, dim, field, lambda idx: {idx: one})
+        """The empty word."""
+        return _word(rank, rank, dim, field, (), ())
 
     @classmethod
     def zero(cls, in_rank: int, out_rank: int, dim: int, field: Field) -> "SparseOperator":
@@ -194,87 +282,91 @@ class SparseOperator:
 
         return cls(rank, rank, dim, field, col)
 
+    @classmethod
+    def padded(cls, rows, perm, legs: int, offset: int, rank: int, dim: int, field: Field) -> "SparseOperator":
+        """The square table ``rows`` of a legs-leg operator on legs offset.. of X^rank.
+
+        The step is marked ``(offset, perm)``: ``perm()`` is the leg
+        permutation of the table, which only the trace reads.
+        """
+        if not 0 <= offset <= rank - legs:
+            raise ValueError(f"{legs} legs from leg {offset} do not fit in rank {rank}")
+        step = (rows, dim ** (rank - offset - legs), dim**legs, 0)
+        return _word(rank, rank, dim, field, (step,), ((offset, perm),))
+
     # -- column access and action ------------------------------------------
 
     def column(self, idx: tuple) -> dict:
-        """Image of the basis vector at idx.  Shared dict: do not mutate."""
-        col = self._cols.get(idx)
-        if col is None:
-            col = self._cols[idx] = self._fn(idx)
-        return col
-
-    def apply_entries(self, entries: dict) -> dict:
-        out: dict = {}
-        field = self.field
-        one = field.one
-        for idx, c in entries.items():
-            col = self.column(idx)
-            if col:
-                _accumulate(out, col, field, None if c == one else c)
-        return out
+        """Image of the basis vector at idx, a fresh dict."""
+        hi, lo, split = _codec(self.dim, self.out_rank)
+        image = _image(_run_steps(self.steps, self.field, _encode(idx, self.dim)))
+        return {hi[key // split] + lo[key % split]: v for key, v in image.items()}
 
     def apply(self, t: SparseTensor) -> SparseTensor:
         if t.rank != self.in_rank:
             raise ValueError(f"rank mismatch: operator takes rank {self.in_rank}, tensor has rank {t.rank}")
         require_same_field(self.field, t.field)
-        return SparseTensor(self.out_rank, self.apply_entries(t.entries), self.field)
+        field, one = self.field, self.field.one
+        out: dict = {}
+        for idx, c in t.entries.items():
+            _accumulate(out, self.column(idx), field, None if c == one else c)
+        return SparseTensor(self.out_rank, out, field)
 
     # -- algebra -------------------------------------------------------------
 
     def compose(self, other: "SparseOperator") -> "SparseOperator":
-        """self after other (self . other), a composite that keeps no column."""
-        if other.out_rank != self.in_rank:
-            raise ValueError(
-                f"rank mismatch in composition: inner produces rank {other.out_rank}, outer takes rank {self.in_rank}"
-            )
-        require_same_field(self.field, other.field)
-        return _Composite(
-            other.in_rank,
-            self.out_rank,
-            self.dim,
-            self.field,
-            lambda idx: self.apply_entries(other.column(idx)),
-        )
+        """self after other (self . other): other's steps, then self's."""
+        return compose_chain([self, other])
 
     def tensor(self, other: "SparseOperator") -> "SparseOperator":
-        """Tensor-factor Kronecker product; in/out ranks add."""
+        """Tensor-factor Kronecker product; in/out ranks add.
+
+        The left factor's steps run first, past the right factor's input
+        legs, so column entries come out left-factor-major.  The product
+        carries no trace markers.
+        """
         require_same_field(self.field, other.field)
         if self.dim != other.dim:
             raise ValueError("operators act on different X")
-        k = self.in_rank
-        mul = self.field.mul
-
-        def col(idx: tuple) -> dict:
-            a = self.column(idx[:k])
-            if not a:
-                return {}
-            b = other.column(idx[k:])
-            if not b:
-                return {}
-            return {ia + ib: mul(va, vb) for ia, va in a.items() for ib, vb in b.items()}
-
-        return SparseOperator(self.in_rank + other.in_rank, self.out_rank + other.out_rank, self.dim, self.field, col)
+        scale = self.dim**other.in_rank
+        steps = tuple((rows, stride * scale, width, shift * scale) for rows, stride, width, shift in self.steps)
+        steps += other.steps
+        in_rank, out_rank = self.in_rank + other.in_rank, self.out_rank + other.out_rank
+        return _word(in_rank, out_rank, self.dim, self.field, steps, (None,) * len(steps))
 
     def trace(self):
-        """Sum of diagonal entries."""
+        """Sum of diagonal entries, key by key unless every step is a marked kit generator.
+
+        Then gr is multiplicative on the filtered steps and the diagonal is
+        degree-preserving, so tr(A_1 ... A_m) = tr(gr A_1 ... gr A_m), the
+        trace of a permutation of the legs: dim ** (its cycles).
+        """
         if self.in_rank != self.out_rank:
             raise ValueError("trace needs in_rank == out_rank")
-        return self._diagonal_sum()
-
-    def _diagonal_sum(self):
-        """The trace, streamed column by column."""
-        total = self.field.zero
-        add = self.field.add
-        for idx in iter_indices(self.dim, self.in_rank):
-            v = self.column(idx).get(idx)
+        field = self.field
+        if all(self.perms):
+            slots = list(range(self.in_rank))  # slots[s]: the leg whose digit is at slot s
+            for offset, perm in self.perms:
+                moved = slots[offset:]
+                for i, slot in enumerate(perm()):
+                    slots[offset + slot] = moved[i]
+            return field.from_int(self.dim ** cycle_count(s + 1 for s in slots))
+        total = field.zero
+        for key in range(self.dim**self.in_rank):
+            v = _image(_run_steps(self.steps, field, key)).get(key)
             if v is not None:
-                total = add(total, v)
+                total = field.add(total, v)
         return total
 
     def materialized(self) -> "SparseOperator":
-        cols = {idx: self.column(idx) for idx in iter_indices(self.dim, self.in_rank)}
-        cols = {idx: col for idx, col in cols.items() if col}
-        return SparseOperator.from_columns(self.in_rank, self.out_rank, self.dim, self.field, cols)
+        """The operator as one step that holds every row."""
+        width = self.dim**self.in_rank
+        rows = tuple(
+            tuple((out - key, v) for out, v in _image(_run_steps(self.steps, self.field, key)).items())
+            for key in range(width)
+        )
+        step = (rows, 1, width, self.dim**self.out_rank - width)
+        return _word(self.in_rank, self.out_rank, self.dim, self.field, (step,), (None,))
 
     # -- comparison ----------------------------------------------------------
 
@@ -282,43 +374,47 @@ class SparseOperator:
         """First basis column where the two operators differ, or None.
 
         Returns (idx, residual) with residual = self(idx) - other(idx).
+        The images are compared in key space; only the first differing key
+        is decoded.
         """
         if (self.in_rank, self.out_rank, self.dim) != (other.in_rank, other.out_rank, other.dim):
             raise ValueError("operators have different shapes")
         field = self.field
-        for idx in iter_indices(self.dim, self.in_rank):
-            a = self.column(idx)
-            b = other.column(idx)
-            if a != b:
-                residual = dict(a)
-                _accumulate(residual, {k: field.neg(v) for k, v in b.items()}, field)
+        for key in range(self.dim**self.in_rank):
+            a, b = _run_steps(self.steps, field, key), _run_steps(other.steps, field, key)
+            if a != b and _image(a) != _image(b):
+                idx = _decode(key, self.dim, self.in_rank)
+                residual = self.column(idx)
+                _accumulate(residual, {k: field.neg(v) for k, v in other.column(idx).items()}, field)
                 return idx, residual
         return None
 
 
-class _Composite(SparseOperator):
-    """The result of ``compose``: every column request recomputes the column.
-
-    A composite's columns are read once per comparison or materialization,
-    so keeping them would only hold memory; its factors keep their own.
-    """
-
-    __slots__ = ()
-
-    def column(self, idx: tuple) -> dict:
-        """Image of the basis vector at idx, computed afresh."""
-        return self._fn(idx)
+def _word(in_rank: int, out_rank: int, dim: int, field: Field, steps: tuple, perms: tuple) -> SparseOperator:
+    op = object.__new__(SparseOperator)
+    op.in_rank, op.out_rank, op.dim, op.field, op.steps, op.perms = in_rank, out_rank, dim, field, steps, perms
+    return op
 
 
 def compose_chain(ops: Iterable[SparseOperator]) -> SparseOperator:
-    """Compose a left-to-right chain: [A, B, C] -> A . B . C (C applied first)."""
+    """Compose a left-to-right chain: [A, B, C] -> A . B . C (C applied first).
+
+    One pass: the ranks and fields are checked pair by pair and the steps
+    concatenated once, so a word of m letters costs O(m).
+    """
     ops = list(ops)
     if not ops:
         raise ValueError("empty composition")
-    out = ops[-1]
-    for op in reversed(ops[:-1]):
-        out = op.compose(out)
-    return out
+    for outer, inner in zip(ops, ops[1:]):
+        if inner.out_rank != outer.in_rank:
+            raise ValueError(
+                f"rank mismatch in composition: inner produces rank {inner.out_rank}, outer takes rank {outer.in_rank}"
+            )
+        require_same_field(outer.field, inner.field)
+    word = ops[::-1]
+    steps = tuple(step for op in word for step in op.steps)
+    perms = tuple(marker for op in word for marker in op.perms)
+    return _word(word[0].in_rank, ops[0].out_rank, ops[0].dim, ops[0].field, steps, perms)
 
 
 def degree_raise(op: SparseOperator):
@@ -333,23 +429,6 @@ def degree_raise(op: SparseOperator):
             if out.count(0) < idx.count(0):
                 return idx, out
     return None
-
-
-def leg_table(base: SparseOperator) -> tuple:
-    """A square operator on X^k as rows over the integer keys of its legs.
-
-    The key of an index tuple is its value in base dim, first leg most
-    significant, so row ``loc`` is the column of the loc-th index tuple in
-    ``iter_indices`` order: ``rows[loc] = ((out_loc - loc, value), ...)``.
-    """
-    if base.in_rank != base.out_rank:
-        raise ValueError("a leg table needs in_rank == out_rank")
-    keys = {idx: loc for loc, idx in enumerate(iter_indices(base.dim, base.in_rank))}
-    zero = base.field.zero
-    return tuple(
-        tuple((keys[out] - loc, v) for out, v in base.column(idx).items() if v != zero)
-        for idx, loc in keys.items()
-    )
 
 
 def leg_permutation(base: SparseOperator) -> tuple:
@@ -377,107 +456,6 @@ def leg_permutation(base: SparseOperator) -> tuple:
                 f"construction bug: column {idx} has degree-preserving part {gr}, not leg permutation {tuple(perm)}"
             )
     return tuple(perm)
-
-
-@lru_cache(maxsize=None)
-def _codec(dim: int, rank: int) -> tuple:
-    """(hi, lo, split): the index tuple of key k is hi[k // split] + lo[k % split]."""
-    low = rank // 2
-    return list(iter_indices(dim, rank - low)), list(iter_indices(dim, low)), dim**low
-
-
-def _run_steps(steps: tuple, field: Field, key: int) -> tuple:
-    """The image of the basis vector of an integer key: (key, c, None) for one term, else (_, _, dict)."""
-    one = field.one
-    # one term (key, c) until a row has more than one entry, then a dict
-    c, cur = one, None
-    for rows, stride, width in steps:
-        if cur is None:
-            row = rows[key // stride % width]
-            if len(row) == 1:
-                delta, v = row[0]
-                key += delta * stride
-                c = v if c == one else field.mul(c, v)
-                continue
-            cur = {key + delta * stride: v if c == one else field.mul(c, v) for delta, v in row}
-            continue
-        nxt: dict = {}
-        for key, c in cur.items():
-            for delta, v in rows[key // stride % width]:
-                out = key + delta * stride
-                if c != one:
-                    v = field.mul(c, v)
-                prev = nxt.get(out)
-                if prev is None:
-                    nxt[out] = v
-                else:
-                    s = field.add(prev, v)
-                    if s == field.zero:
-                        del nxt[out]
-                    else:
-                        nxt[out] = s
-        cur = nxt
-    return key, c, cur
-
-
-class LegLocalOperator(SparseOperator):
-    """A word of leg-local steps on X^rank, identity on every leg a step skips.
-
-    Each step ``(rows, stride, width)`` applies a ``leg_table`` to the
-    ``width = dim**k`` keys of k consecutive legs whose lowest leg has place
-    value ``stride``.  A column encodes its index tuple once, runs every step
-    on the integer keys, and decodes the image once.  Columns are never
-    cached: the tables are the only stored entries.
-
-    ``perms`` holds, step for step, ``(offset, perm)``: the step's first leg
-    and a memoized function returning the ``leg_permutation`` of its table,
-    which only the trace reads.  gr is multiplicative on filtered steps and
-    the diagonal is degree-preserving, so tr(A_1 ... A_m) = tr(gr A_1 ...
-    gr A_m), the trace of a permutation of the legs: dim ** (its cycles).
-    """
-
-    __slots__ = ("steps", "perms")
-
-    def __init__(self, rank: int, dim: int, field: Field, steps: tuple, perms: tuple):
-        super().__init__(rank, rank, dim, field, None)  # ``column`` is overridden
-        self.steps = steps  # in the order they are applied
-        self.perms = perms
-
-    def column(self, idx: tuple) -> dict:
-        """Image of the basis vector at idx, computed afresh: columns are never cached."""
-        dim = self.dim
-        key = 0
-        for i in idx:
-            key = key * dim + i
-        key, c, cur = _run_steps(self.steps, self.field, key)
-        hi, lo, split = _codec(dim, len(idx))
-        if cur is None:
-            return {hi[key // split] + lo[key % split]: c}
-        return {hi[key // split] + lo[key % split]: v for key, v in cur.items()}
-
-    @classmethod
-    def padded(cls, rows: tuple, perm, legs: int, offset: int, rank: int, dim: int, field: Field) -> LegLocalOperator:
-        """The table ``rows`` of a legs-leg operator on legs offset.. of X^rank; ``perm()`` is its leg permutation."""
-        if not 0 <= offset <= rank - legs:
-            raise ValueError(f"{legs} legs from leg {offset} do not fit in rank {rank}")
-        return cls(rank, dim, field, ((rows, dim ** (rank - offset - legs), dim**legs),), ((offset, perm),))
-
-    def compose(self, other: SparseOperator) -> SparseOperator:
-        """self . other; two leg-local words of one rank concatenate their steps."""
-        if isinstance(other, LegLocalOperator) and (other.in_rank, other.dim) == (self.in_rank, self.dim):
-            require_same_field(self.field, other.field)
-            steps, perms = other.steps + self.steps, other.perms + self.perms
-            return LegLocalOperator(self.in_rank, self.dim, self.field, steps, perms)
-        return super().compose(other)
-
-    def _diagonal_sum(self):
-        """dim ** (cycles of the composite leg permutation of the steps): O(steps * legs)."""
-        slots = list(range(self.in_rank))  # slots[s]: the leg whose digit is at slot s
-        for offset, perm in self.perms:
-            moved = slots[offset:]
-            for i, slot in enumerate(perm()):
-                slots[offset + slot] = moved[i]
-        return self.field.from_int(self.dim ** cycle_count(s + 1 for s in slots))
 
 
 def tensor_chain(ops: Iterable[SparseOperator]) -> SparseOperator:

@@ -17,7 +17,7 @@ from tsdlink.braiding import (
 )
 from tsdlink.braids import parse_braid_word
 from tsdlink.invariant import check_framed_braid_relations, trace_invariant
-from tsdlink.tensor import LegLocalOperator, SparseOperator, iter_indices
+from tsdlink.tensor import SparseOperator, iter_indices
 from tsdlink.tsd import TsdPair, build_T_tilde
 
 # frozen by the dense oracle (see test_oracle.py); basis order (b0, h, e, f)
@@ -90,10 +90,13 @@ def test_checks_share_padded_crossings():
     check_framed_braid_relations(k)
     assert all(crossing_operator(k, i, 1, 3) is s for i, s in zip((1, 2), sigma))
     trace_invariant(k, parse_braid_word("s1 s2^-1 t3^2", 3))
-    operators = [op for op in k.cache.values() if isinstance(op, SparseOperator)]
-    padded = [op for key, op in k.cache.items() if key[0] == "pad"]
-    assert padded and all(isinstance(op, LegLocalOperator) and not op._cols for op in padded)
-    assert not [op for op in operators if op.in_rank > 4 and op._cols]
+    operators = {key: op for key, op in k.cache.items() if isinstance(op, SparseOperator)}
+    padded = {key: op for key, op in operators.items() if key[0] == "pad"}
+    assert padded and all(key in padded for key, op in operators.items() if op.in_rank > 4)
+    # each holds one step: a reference to the kit's one table of its generator
+    for (_, name, _, _), op in padded.items():
+        table = k.cache[("table", name)]
+        assert isinstance(table, tuple) and len(op.steps) == 1 and op.steps[0][0] is table
 
 
 def test_check_path_builds_no_graded_tables():

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,24 @@ def test_invariant_cap_error():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,dimension",
+    [
+        (["invariant", "sl2", "--strands", "3572", "--word", ""], "4^7144"),
+        (["markov", "nambu4", "--strands", "3100", "--word", "", "--trials", "1"], "5^6200"),
+    ],
+    ids=["invariant-3572-strands", "markov-3100-strands"],
+)
+def test_cap_error_past_the_int_str_limit_is_one_line(argv, dimension, capsys):
+    # dim^(2n) has more than 4,300 digits here; the message names it as a power
+    code, text = run(argv)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: operator dimension {dimension} exceeds cap 1000000; the cap bounds the dimension dim^(2n) "
+        "of the represented operator; use fewer strands or a larger --cap\n"
+    )
+
+
 def test_invariant_bad_word_syntax():
     code, _ = run(["invariant", "sl2", "--strands", "2", "--word", "s9"])
     assert code == 2
@@ -193,6 +212,17 @@ def test_markov_command():
     )
     assert code == 0
     assert "3/3 trials matched the base trace" in text
+
+
+def test_markov_long_word_composes_in_linear_time():
+    # the harness flattens s1^100000 into 100000 letters, composed in one pass
+    start = time.perf_counter()
+    code, text = run(
+        ["markov", "sl2", "--strands", "2", "--word", "s1^100000", "--trials", "1", "--moves", "1", "--seed", "1"]
+    )
+    assert time.perf_counter() - start < 20
+    assert code == 0
+    assert text.endswith("value: 256\n")
 
 
 @pytest.mark.parametrize("option,value,bound", [("--trials", "0", ">= 1"), ("--moves", "-1", ">= 0")])

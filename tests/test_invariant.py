@@ -184,12 +184,16 @@ def test_graded_trace_matches_column_trace(name, dim):
             tokens += [f"s{rng.randint(1, n - 1)}^{rng.choice([1, -1, 2, -2, 4, -5])}" for _ in range(rng.randint(1, 3))]
         rng.shuffle(tokens)
         op = representation(k, normalize(parse_braid_word(" ".join(tokens), n)))
-        full = k.field.zero
-        for idx in iter_indices(k.dim, 2 * n):
-            v = op.column(idx).get(idx)
-            if v is not None:
-                full = k.field.add(full, v)
-        assert op.trace() == full, tokens
+        # a step that is no kit generator sends the trace through the columns
+        mixed = op.compose(padded_reference(k, k.twist, rng.randint(1, n), n))
+        assert not all(mixed.perms)
+        for word in (op, mixed):
+            full = k.field.zero
+            for idx in iter_indices(k.dim, 2 * n):
+                v = word.column(idx).get(idx)
+                if v is not None:
+                    full = k.field.add(full, v)
+            assert word.trace() == full, tokens
 
 
 def test_normalize_two_pushes_frozen_framings():

@@ -5,7 +5,6 @@ import pytest
 
 from tsdlink.fields import RATIONALS, PrimeField
 from tsdlink.tensor import (
-    LegLocalOperator,
     SparseOperator,
     SparseTensor,
     compose_chain,
@@ -102,18 +101,15 @@ def test_op_compose():
     assert both.column((0,)) == {}
 
 
-def test_composites_keep_no_columns_and_other_operators_do():
+def test_leaf_computes_each_column_once():
     calls = []
     leaf = SparseOperator(1, 1, 2, F, lambda idx: calls.append(idx) or {idx: 1})
     identity = SparseOperator.identity(1, 2, F)
-    fallback = LegLocalOperator(1, 2, F, (), ()).compose(leaf)
-    for composite in (leaf.compose(identity), compose_chain([identity, leaf]), fallback):
-        assert composite.column((1,)) == composite.column((1,)) == {(1,): 1}
-        assert not composite._cols
-    assert calls == [(1,)]  # the leaf computed its column once
-    product = leaf.tensor(identity)
-    assert product.column((1, 0)) == product.column((1, 0)) == {(1, 0): 1}
-    assert product._cols == {(1, 0): {(1, 0): 1}}
+    for op in (leaf, leaf.compose(identity), identity.compose(leaf), compose_chain([identity, leaf, identity])):
+        assert op.column((1,)) == op.column((1,)) == {(1,): 1}
+    for product in (leaf.tensor(identity), identity.tensor(leaf)):
+        assert product.column((1, 1)) == product.column((1, 1)) == {(1, 1): 1}
+    assert calls == [(1,)]  # every operator above shares the leaf's one row
 
 
 def test_op_tensor():
@@ -133,15 +129,16 @@ def test_op_trace_examples():
     assert SparseOperator.zero(2, 2, 2, F).trace() == 0
 
 
-def _random_operator(rng, rank, dim, field):
+def _random_operator(rng, rank, dim, field, out_rank=None):
+    out_rank = rank if out_rank is None else out_rank
     cols = {}
     for idx in iter_indices(dim, rank):
         col = {}
         for _ in range(rng.randint(0, 2)):
-            out_idx = tuple(rng.randrange(dim) for _ in range(rank))
+            out_idx = tuple(rng.randrange(dim) for _ in range(out_rank))
             col[out_idx] = field.from_int(rng.randint(-3, 3))
         cols[idx] = {k: v for k, v in col.items() if v != field.zero}
-    return SparseOperator.from_columns(rank, rank, dim, field, cols)
+    return SparseOperator.from_columns(rank, out_rank, dim, field, cols)
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(11)])
@@ -151,6 +148,33 @@ def test_trace_cyclicity_random(field):
         a = _random_operator(rng, 2, 3, field)
         b = _random_operator(rng, 2, 3, field)
         assert a.compose(b).trace() == b.compose(a).trace()
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(11)])
+@pytest.mark.parametrize("ranks", [(1, 2, 2, 1), (2, 0, 1, 3), (0, 1, 2, 2), (3, 1, 1, 0)], ids=str)
+def test_rank_changing_steps(field, ranks):
+    # A: X^a -> X^a', B: X^b -> X^b', in ranks (a, a', b, b'), some of them 0
+    rng = random.Random(sum(ranks))
+    dim = 3
+    a_in, a_out, b_in, b_out = ranks
+    a, b = _random_operator(rng, a_in, dim, field, a_out), _random_operator(rng, b_in, dim, field, b_out)
+    product = a.tensor(b)
+    for i in iter_indices(dim, a_in):
+        for j in iter_indices(dim, b_in):
+            want = [(ia + ib, field.mul(va, vb)) for ia, va in a.column(i).items() for ib, vb in b.column(j).items()]
+            assert list(product.column(i + j).items()) == want, (i, j)
+    # a word that changes the rank three times, the counit on its last leg last
+    inner = _random_operator(rng, 2, dim, field, a_in + b_in)
+    drop = SparseOperator.identity(a_out + b_out - 1, dim, field).tensor(counit_op(dim, field))
+    word = compose_chain([drop, product, inner])
+    assert (word.in_rank, word.out_rank) == (2, a_out + b_out - 1)
+    flat = word.materialized()
+    assert len(flat.steps) == 1
+    for idx in iter_indices(dim, 2):
+        column = word.column(idx)
+        assert list(flat.column(idx).items()) == list(column.items()), idx
+        expected = drop.apply(product.apply(SparseTensor(a_in + b_in, inner.column(idx), field)))
+        assert column == expected.entries, idx
 
 
 def test_coassociativity():
