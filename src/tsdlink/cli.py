@@ -24,7 +24,7 @@ from .algebra import (
     load_algebra_file,
     validate_algebra,
 )
-from .braiding import check_braiding, make_braiding_kit
+from .braiding import BraidingKit, check_braiding, make_braiding_kit
 from .braids import BraidSyntaxError, FramedBraidWord, parse_braid_word
 from .fields import FieldError
 from .invariant import (
@@ -84,6 +84,17 @@ def _parse_word(args) -> FramedBraidWord:
             raise CliError(f"--framings needs {args.strands} entries, got {len(override)}")
         word = FramedBraidWord(word.strands, override, word.letters)
     return word
+
+
+def _capped_kit(spec: AlgebraSpec, cap: int) -> BraidingKit:
+    """The braiding kit, refused before it is built when R on X^4 has more than cap columns."""
+    dim = spec.dim + 1
+    if dim**4 > cap:
+        raise DimensionCapError(
+            f"kit build needs the braiding on {dim}^4 columns, which exceeds cap {cap}; "
+            "the cap also bounds the kit build; use a smaller algebra or a larger --cap"
+        )
+    return make_braiding_kit(spec)
 
 
 def _failure_payload(report: ValidationReport) -> list[dict]:
@@ -162,7 +173,7 @@ def _cmd_invariant(args, out) -> int:
     started = time.monotonic()
     spec = _resolve_algebra(args.algebra)
     word = _parse_word(args)
-    kit = make_braiding_kit(spec)
+    kit = _capped_kit(spec, args.cap)
     result = trace_invariant(kit, word, cap=args.cap)
     lines = [
         f"algebra: {result.algebra}",
@@ -181,7 +192,7 @@ def _cmd_markov(args, out) -> int:
         raise CliError(f"--moves must be >= 0, got {args.moves}")
     spec = _resolve_algebra(args.algebra)
     word = _parse_word(args)
-    kit = make_braiding_kit(spec)
+    kit = _capped_kit(spec, args.cap)
     report = markov_report(
         kit,
         word,

@@ -25,6 +25,12 @@ column encodes its index once, runs the steps and decodes once; a
 comparison runs both words key by key and decodes only the first
 differing key; ``materialized`` runs every key into one step.
 
+A word of square steps is the identity on the legs no step touches, so a
+comparison or a key-sum trace runs on the touched legs alone
+(``_touched_legs``): A (x) 1 = B (x) 1 if and only if A = B, and
+tr(A (x) 1) = tr(A) * dim ** (untouched legs).  A word with a step that
+changes the rank keeps every leg.
+
 A braid generator on X^(2n) is one step of the kit's table on the legs of
 its strands (``padded``), marked with its first leg and a memoized
 extractor of its ``leg_permutation``, the degree-preserving part of the
@@ -233,6 +239,26 @@ def _image(run: tuple) -> dict:
     return {key: c} if cur is None else cur
 
 
+def _touched_legs(dim: int, rank: int, words: tuple) -> tuple:
+    """The places of the legs the words' steps act on, and the words re-strided onto those legs.
+
+    A place counts legs from the last (place p has value dim**p); the
+    compacted key holds the touched legs in the same order.  A word with a
+    step that changes the rank gets every leg and its own steps.
+    """
+    if any(shift for steps in words for *_, shift in steps):
+        return tuple(range(rank)), words
+    place = {dim**p: p for p in range(rank + 1)}
+    touched = set()
+    for steps in words:
+        for _, stride, width, _ in steps:
+            touched.update(range(place[stride], place[stride] + place[width]))
+    places = tuple(sorted(touched))
+    stride_of = {dim**p: dim**j for j, p in enumerate(places)}
+    words = tuple(tuple((rows, stride_of[stride], width, 0) for rows, stride, width, _ in steps) for steps in words)
+    return places, words
+
+
 class SparseOperator:
     """Linear map X^(in_rank) -> X^(out_rank): a word of steps on integer keys.
 
@@ -335,7 +361,7 @@ class SparseOperator:
         return _word(in_rank, out_rank, self.dim, self.field, steps, (None,) * len(steps))
 
     def trace(self):
-        """Sum of diagonal entries, key by key unless every step is a marked kit generator.
+        """Sum of diagonal entries: over the keys of the touched legs unless every step is a marked kit generator.
 
         Then gr is multiplicative on the filtered steps and the diagonal is
         degree-preserving, so tr(A_1 ... A_m) = tr(gr A_1 ... gr A_m), the
@@ -351,12 +377,13 @@ class SparseOperator:
                 for i, slot in enumerate(perm()):
                     slots[offset + slot] = moved[i]
             return field.from_int(self.dim ** cycle_count(s + 1 for s in slots))
+        places, (steps,) = _touched_legs(self.dim, self.in_rank, (self.steps,))
         total = field.zero
-        for key in range(self.dim**self.in_rank):
-            v = _image(_run_steps(self.steps, field, key)).get(key)
+        for key in range(self.dim ** len(places)):
+            v = _image(_run_steps(steps, field, key)).get(key)
             if v is not None:
                 total = field.add(total, v)
-        return total
+        return field.mul(total, field.from_int(self.dim ** (self.in_rank - len(places))))
 
     def materialized(self) -> "SparseOperator":
         """The operator as one step that holds every row."""
@@ -374,16 +401,23 @@ class SparseOperator:
         """First basis column where the two operators differ, or None.
 
         Returns (idx, residual) with residual = self(idx) - other(idx).
-        The images are compared in key space; only the first differing key
-        is decoded.
+        The images are compared in key space on the legs that the steps of
+        either word touch (``_touched_legs``); only the first differing key
+        is decoded, with index 0 on every untouched leg.  That is the first
+        failing column in ``iter_indices`` order, and the residual is read
+        off the full columns.
         """
         if (self.in_rank, self.out_rank, self.dim) != (other.in_rank, other.out_rank, other.dim):
             raise ValueError("operators have different shapes")
-        field = self.field
-        for key in range(self.dim**self.in_rank):
-            a, b = _run_steps(self.steps, field, key), _run_steps(other.steps, field, key)
+        dim, rank, field = self.dim, self.in_rank, self.field
+        places, (mine, theirs) = _touched_legs(dim, rank, (self.steps, other.steps))
+        for key in range(dim ** len(places)):
+            a, b = _run_steps(mine, field, key), _run_steps(theirs, field, key)
             if a != b and _image(a) != _image(b):
-                idx = _decode(key, self.dim, self.in_rank)
+                idx = [0] * rank
+                for digit, p in zip(_decode(key, dim, len(places)), reversed(places)):
+                    idx[rank - 1 - p] = digit
+                idx = tuple(idx)
                 residual = self.column(idx)
                 _accumulate(residual, {k: field.neg(v) for k, v in other.column(idx).items()}, field)
                 return idx, residual

@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import cache
 
 from tsdlink import builtin_algebra, make_braiding_kit, make_tsd_pair
+from tsdlink.fields import _accumulate
 from tsdlink.tensor import SparseOperator, iter_indices
 
 # (name, dim) pairs of the bundled algebras
@@ -50,3 +51,13 @@ def padded_reference(kit, base, strand, n):
 def same_columns(a, b):
     """Equal columns with equal entry order (the order failure residuals print in)."""
     return all(list(a.column(i).items()) == list(b.column(i).items()) for i in iter_indices(a.dim, a.in_rank))
+
+
+def full_scan_witness(a, b):
+    """diff_witness by a walk over every column of X^(in_rank): (idx, a(idx) - b(idx)) or None."""
+    for idx in iter_indices(a.dim, a.in_rank):
+        mine, theirs = a.column(idx), b.column(idx)
+        if mine != theirs:
+            _accumulate(mine, {k: a.field.neg(v) for k, v in theirs.items()}, a.field)
+            return idx, mine
+    return None

@@ -185,6 +185,23 @@ def test_cap_error_past_the_int_str_limit_is_one_line(argv, dimension, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [["invariant"], ["markov", "--trials", "1"]], ids=["invariant", "markov"])
+def test_kit_build_past_the_cap_is_one_line(command, tmp_path, capsys):
+    # R on X^4 of a 40-dimensional algebra has 41^4 columns; the cap refuses the kit before it is built
+    from tsdlink.algebra import builtin_algebra, dump_algebra
+
+    path = tmp_path / "abelian40.json"
+    path.write_text(json.dumps(dump_algebra(builtin_algebra("abelian", dim=40))))
+    start = time.perf_counter()
+    code, text = run([command[0], str(path), "--strands", "1", "--word", "", *command[1:]])
+    assert time.perf_counter() - start < 5
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: kit build needs the braiding on 41^4 columns, which exceeds cap 1000000; "
+        "the cap also bounds the kit build; use a smaller algebra or a larger --cap\n"
+    )
+
+
 def test_invariant_bad_word_syntax():
     code, _ = run(["invariant", "sl2", "--strands", "2", "--word", "s9"])
     assert code == 2

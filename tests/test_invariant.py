@@ -1,8 +1,11 @@
+import dataclasses
 import random
+import re
+import time
 
 import pytest
 
-from helpers import BUNDLED, kit, padded_reference, same_columns
+from helpers import BUNDLED, full_scan_witness, kit, padded_reference, same_columns, tsd_pair
 from tsdlink.braids import FramedBraidWord, cycle_count, normalize, parse_braid_word, underlying_permutation
 from tsdlink.fields import PrimeField
 from tsdlink.invariant import (
@@ -14,7 +17,7 @@ from tsdlink.invariant import (
     representation,
     trace_invariant,
 )
-from tsdlink.braiding import make_braiding_kit, power
+from tsdlink.braiding import crossing_operator, make_braiding_kit, padded_power, power
 from tsdlink.tensor import SparseOperator, iter_indices
 
 
@@ -129,6 +132,43 @@ def test_framed_braid_relations():
     # memoized per kit
     k = kit("so3")
     assert check_framed_braid_relations(k, n=3) is check_framed_braid_relations(k, n=3)
+
+
+@pytest.mark.parametrize("name", ["sl2", "nambu4"])
+def test_framed_braid_relations_on_five_strands(name):
+    # 33 relations on X^10; each compares its two words on the legs they touch
+    start = time.perf_counter()
+    report = check_framed_braid_relations(make_braiding_kit(tsd_pair(name)), n=5)
+    assert time.perf_counter() - start < 30
+    assert len(report.results) == 33
+    assert report.passed, [str(r) for r in report.failures]
+
+
+def test_tampered_twist_witness_on_non_adjacent_strands():
+    # sl2 twist with the sign of one lower-degree entry flipped: (1, 2) -> 2 (2, 0) - 2 (0, 2)
+    k = make_braiding_kit(tsd_pair("sl2"))
+    columns = {idx: dict(k.twist.column(idx)) for idx in iter_indices(k.dim, 2)}
+    columns[(1, 2)][(2, 0)] = k.field.neg(columns[(1, 2)][(2, 0)])
+    twist = SparseOperator.from_columns(2, 2, k.dim, k.field, columns)
+    tampered = dataclasses.replace(k, twist=twist, cache={})
+    # t1 t3 acts on legs {0, 1, 4, 5} of X^6; its witness has index 0 on legs 2 and 3
+    lhs = padded_power(tampered, "twist", 1, 1, 3).compose(padded_power(tampered, "twist", 1, 3, 3))
+    rhs = padded_power(k, "twist", 1, 1, 3).compose(padded_power(k, "twist", 1, 3, 3))
+    got, want = lhs.diff_witness(rhs), full_scan_witness(lhs, rhs)
+    assert got == want
+    assert list(got[1].items()) == list(want[1].items())
+    assert got[0][2:4] == (0, 0)
+    # the relation itself holds for any twist: steps on disjoint legs commute
+    report = check_framed_braid_relations(tampered, n=3)
+    assert [r.ok for r in report.results if r.name == "twist-commute[t1,t3]"] == [True]
+    assert len(report.failures) == 4
+    for r in report.failures:  # the twist pushes on adjacent strands, each on 4 of the 6 legs
+        i, j = map(int, re.fullmatch(r"twist-push\[t(\d),s(\d)\]", r.name).groups())
+        image = j + 1 if i == j else j if i == j + 1 else i
+        sigma = crossing_operator(tampered, j, 1, 3)
+        twist_i, twist_image = (padded_power(tampered, "twist", 1, s, 3) for s in (i, image))
+        idx, residual = full_scan_witness(twist_i.compose(sigma), sigma.compose(twist_image))
+        assert (r.witness, list(r.residual.items())) == (idx, list(residual.items()))
 
 
 def test_normalize_preserves_represented_operator():

@@ -1,11 +1,14 @@
 import random
+from functools import partial
 from itertools import permutations
 
 import pytest
 
+from helpers import full_scan_witness
 from tsdlink.fields import RATIONALS, PrimeField
 from tsdlink.tensor import (
     SparseOperator,
+    _touched_legs,
     SparseTensor,
     compose_chain,
     counit,
@@ -224,3 +227,85 @@ def test_prime_field_entries_stay_reduced():
     assert a.plus(b).entries == {(0,): 2}
     # 3 + 2 = 0 mod 5: entry disappears
     assert a.plus(SparseTensor(1, {(0,): 2}, f5)).entries == {}
+
+
+def _planted(rng, table, field):
+    """A copy of a square table with one entry changed: a value moved by 1, or a new entry."""
+    rows = list(table)
+    loc = rng.randrange(len(rows))
+    row = list(rows[loc])
+    if row and rng.random() < 0.5:
+        delta, v = row[0]
+        row[0] = (delta, field.add(v, field.one))
+    else:
+        row.append((rng.randrange(len(rows)) - loc, field.one))
+    rows[loc] = tuple(row)
+    return tuple(rows)
+
+
+# (legs, offset) of each padded step of X^6, applied right to left
+_LEG_SETS = {
+    "legs-1-2": [(2, 1)],
+    "legs-2-4-overlapping": [(2, 2), (2, 3), (1, 2)],
+    "legs-0-1-and-4-5": [(2, 0), (2, 4), (2, 0)],
+    "legs-0-3-5": [(1, 0), (1, 3), (1, 5)],
+    "legs-1-and-3-5": [(3, 3), (1, 1)],
+    "every-leg": [(3, 0), (3, 3), (2, 2)],
+}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["Q", "F10007"])
+@pytest.mark.parametrize("legs", list(_LEG_SETS.values()), ids=list(_LEG_SETS))
+def test_leg_restricted_compare_matches_full_scan(field, legs):
+    rng = random.Random(len(legs) * 31 + legs[0][1])
+    dim, rank = 3, 6
+    ops = [_random_operator(rng, k, dim, field) for k, _ in legs]
+    tables = [op.materialized().steps[0][0] for op in ops]
+
+    def word(tables):
+        return compose_chain(
+            [SparseOperator.padded(t, None, k, offset, rank, dim, field) for t, (k, offset) in zip(tables, legs)]
+        )
+
+    assert word(tables).diff_witness(word(tables)) is None
+    # the word built by tensor padding carries no trace markers: its trace sums the touched legs' keys
+    identity = partial(SparseOperator.identity, dim=dim, field=field)
+    unmarked = compose_chain(
+        [identity(offset).tensor(op).tensor(identity(rank - offset - k)) for op, (k, offset) in zip(ops, legs)]
+    )
+    total = field.zero
+    for idx in iter_indices(dim, rank):
+        total = field.add(total, unmarked.column(idx).get(idx, field.zero))
+    assert unmarked.trace() == total
+    planted = 0
+    for trial in range(6):
+        changed = list(tables)
+        at = trial % len(tables)
+        changed[at] = _planted(rng, tables[at], field)
+        a, b = word(changed), word(tables)
+        got, want = a.diff_witness(b), full_scan_witness(a, b)
+        assert got == want
+        if want is not None:
+            planted += 1
+            assert list(got[1].items()) == list(want[1].items())
+    assert planted  # the planted entries show
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["Q", "F10007"])
+def test_rank_changing_word_compares_on_every_leg(field):
+    # X^3 -> X^4 -> X^3: a comultiplication on the last leg, a table on legs 0-1, the counit on the last leg
+    rng = random.Random(5)
+    dim = 3
+    one = SparseOperator.identity(2, dim, field)
+    lift = one.tensor(delta_op(2, dim, field))
+    drop = SparseOperator.identity(3, dim, field).tensor(counit_op(dim, field))
+    table = _random_operator(rng, 2, dim, field).materialized().steps[0][0]
+
+    def word(table):
+        return compose_chain([drop, SparseOperator.padded(table, None, 2, 0, 4, dim, field), lift])
+
+    a, b = word(_planted(rng, table, field)), word(table)
+    assert _touched_legs(dim, 3, (a.steps, b.steps))[0] == (0, 1, 2)
+    assert a.diff_witness(b) == full_scan_witness(a, b) is not None
+    assert list(a.diff_witness(b)[1].items()) == list(full_scan_witness(a, b)[1].items())
+    assert word(table).diff_witness(b) is None
