@@ -99,7 +99,14 @@ def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -
 
 
 def check_framed_braid_relations(kit: BraidingKit, n: int = 3) -> ValidationReport:
-    """Braid relation, twist commutations and twist-crossing pushes on X^(2n)."""
+    """Braid relation, twist commutations and twist-crossing pushes on X^(2n).
+
+    The twist commutations, and the twist pushes past a crossing of two
+    other strands, have sides that are the same steps on disjoint legs in
+    another order; ``diff_witness`` proves them from the steps on each leg
+    without a key.  The braid relations and the pushes past a crossing of
+    the twisted strand are scanned on the legs their steps touch.
+    """
     key = ("fb-relations", n)
     cached = kit.cache.get(key)
     if cached is not None:

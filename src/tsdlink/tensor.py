@@ -29,7 +29,14 @@ A word of square steps is the identity on the legs no step touches, so a
 comparison or a key-sum trace runs on the touched legs alone
 (``_touched_legs``): A (x) 1 = B (x) 1 if and only if A = B, and
 tr(A (x) 1) = tr(A) * dim ** (untouched legs).  A word with a step that
-changes the rank keeps every leg.
+changes the rank keeps every leg.  Before any key, a comparison of two
+words of square steps, each on at least one leg, lists for every leg the
+steps on it in word order (``_leg_sequences``); if every leg sees the same
+list in both words, they differ only by swaps of steps on disjoint legs,
+which commute, and are equal.  That proves the framed-braid twist
+commutations and the twist pushes past a crossing of other strands; the
+braid relation, the adjacent pushes and every word with a rank-changing or
+zero-leg step are scanned.
 
 A braid generator on X^(2n) is one step of the kit's table on the legs of
 its strands (``padded``), marked with its first leg and a memoized
@@ -239,24 +246,47 @@ def _image(run: tuple) -> dict:
     return {key: c} if cur is None else cur
 
 
+@lru_cache(maxsize=None)
+def _step_legs(dim: int, rank: int, stride: int, width: int) -> range:
+    """The places of the legs a square step of X^rank acts on.
+
+    A place counts legs from the last (place p has value dim**p).
+    """
+    place = {dim**p: p for p in range(rank + 1)}
+    return range(place[stride], place[stride] + place[width])
+
+
 def _touched_legs(dim: int, rank: int, words: tuple) -> tuple:
     """The places of the legs the words' steps act on, and the words re-strided onto those legs.
 
-    A place counts legs from the last (place p has value dim**p); the
-    compacted key holds the touched legs in the same order.  A word with a
-    step that changes the rank gets every leg and its own steps.
+    The compacted key holds the touched legs in the same order.  A word
+    with a step that changes the rank gets every leg and its own steps.
     """
     if any(shift for steps in words for *_, shift in steps):
         return tuple(range(rank)), words
-    place = {dim**p: p for p in range(rank + 1)}
     touched = set()
     for steps in words:
         for _, stride, width, _ in steps:
-            touched.update(range(place[stride], place[stride] + place[width]))
+            touched.update(_step_legs(dim, rank, stride, width))
     places = tuple(sorted(touched))
     stride_of = {dim**p: dim**j for j, p in enumerate(places)}
     words = tuple(tuple((rows, stride_of[stride], width, 0) for rows, stride, width, _ in steps) for steps in words)
     return places, words
+
+
+def _leg_sequences(dim: int, rank: int, steps: tuple):
+    """For each touched place, the steps on that leg in word order, each as (id(rows), stride, width).
+
+    None if a step changes the rank or acts on no leg: the per-leg
+    sequences then do not determine the word up to commuting steps.
+    """
+    seqs: dict = {}
+    for rows, stride, width, shift in steps:
+        if shift or width == 1:
+            return None
+        for p in _step_legs(dim, rank, stride, width):
+            seqs.setdefault(p, []).append((id(rows), stride, width))
+    return seqs
 
 
 class SparseOperator:
@@ -401,15 +431,26 @@ class SparseOperator:
         """First basis column where the two operators differ, or None.
 
         Returns (idx, residual) with residual = self(idx) - other(idx).
-        The images are compared in key space on the legs that the steps of
-        either word touch (``_touched_legs``); only the first differing key
-        is decoded, with index 0 on every untouched leg.  That is the first
-        failing column in ``iter_indices`` order, and the residual is read
-        off the full columns.
+        Two words of square steps, each on at least one leg, are equal
+        without a key visited when every leg sees the same steps in the same
+        order in both (``_leg_sequences``): steps on disjoint legs commute,
+        and by the projection lemma of trace monoids such words are the same
+        product in another order.  This proves the framed-braid twist
+        commutations and the twist pushes on strands the crossing does not
+        touch.  Every other pair (the braid relation, the adjacent pushes,
+        a rank-changing or a zero-leg step) is scanned: the images are
+        compared in key space on the legs that the steps of either word
+        touch (``_touched_legs``); only the first differing key is decoded,
+        with index 0 on every untouched leg.  That is the first failing
+        column in ``iter_indices`` order, and the residual is read off the
+        full columns.
         """
         if (self.in_rank, self.out_rank, self.dim) != (other.in_rank, other.out_rank, other.dim):
             raise ValueError("operators have different shapes")
         dim, rank, field = self.dim, self.in_rank, self.field
+        seqs = _leg_sequences(dim, rank, self.steps)
+        if seqs is not None and seqs == _leg_sequences(dim, rank, other.steps):
+            return None
         places, (mine, theirs) = _touched_legs(dim, rank, (self.steps, other.steps))
         for key in range(dim ** len(places)):
             a, b = _run_steps(mine, field, key), _run_steps(theirs, field, key)

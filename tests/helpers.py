@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 
 from tsdlink import builtin_algebra, make_braiding_kit, make_tsd_pair
+from tsdlink.algebra import _filippov_residual
 from tsdlink.fields import _accumulate
 from tsdlink.tensor import SparseOperator, iter_indices
 
@@ -61,3 +63,23 @@ def full_scan_witness(a, b):
             _accumulate(mine, {k: a.field.neg(v) for k, v in theirs.items()}, a.field)
             return idx, mine
     return None
+
+
+def filippov_full_scan(spec):
+    """The first 5-tuple in product order where the Filippov identity fails, with its residual, or None."""
+    for xs in product(range(1, spec.dim + 1), repeat=5):
+        residual = _filippov_residual(spec, xs)
+        if residual:
+            return xs, residual
+    return None
+
+
+class CountingRows:
+    """The rows of a step, counting the lookups a key run makes."""
+
+    def __init__(self, rows):
+        self.rows, self.lookups = rows, 0
+
+    def __getitem__(self, loc):
+        self.lookups += 1
+        return self.rows[loc]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from helpers import BUNDLED, algebra
+from helpers import BUNDLED, algebra, filippov_full_scan
 from tsdlink.algebra import (
     AlgebraError,
     builtin_algebra,
@@ -323,3 +324,25 @@ def test_passing_validation_is_not_repeated(monkeypatch):
     monkeypatch.setattr(algebra_module, "validate_algebra", lambda s: calls.append(s) or validate_algebra(s))
     make_tsd_pair(spec)
     assert calls == []
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(10007)], ids=["Q", "F10007"])
+def test_filippov_orbit_representatives_match_full_scan(field):
+    # every coefficient c_abc^l of nambu4 moved by 1, the absent ones included
+    spec = builtin_algebra("nambu4", field=field)
+    one, add = spec.field.one, spec.field.add
+    failed = 0
+    for key, l in product(sorted(spec.structure), range(1, spec.dim + 1)):
+        structure = {k: dict(v) for k, v in spec.structure.items()}
+        structure[key][l] = add(structure[key].get(l, spec.field.zero), one)
+        mutant = dataclasses.replace(spec, structure=structure)
+        report = validate_algebra(mutant)
+        want = filippov_full_scan(mutant)
+        filippov = report.results[-1]
+        assert filippov.name == "filippov"
+        if want is None:
+            assert filippov.ok and filippov.detail == "1024 5-tuples"
+            continue
+        failed += 1
+        assert (filippov.witness, list(filippov.residual.items())) == (want[0], list(want[1].items()))
+    assert failed == 12  # the four diagonal moves stay 3-Lie (see the mutation landscape)

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from helpers import BUNDLED, full_scan_witness, kit, padded_reference, same_columns, tsd_pair
+from helpers import BUNDLED, CountingRows, full_scan_witness, kit, padded_reference, same_columns, tsd_pair
 from tsdlink.braids import FramedBraidWord, cycle_count, normalize, parse_braid_word, underlying_permutation
+from tsdlink import invariant as invariant_module
 from tsdlink.fields import PrimeField
 from tsdlink.invariant import (
     DimensionCapError,
@@ -19,6 +20,7 @@ from tsdlink.invariant import (
 )
 from tsdlink.braiding import crossing_operator, make_braiding_kit, padded_power, power
 from tsdlink.tensor import SparseOperator, iter_indices
+from tsdlink.tsd import compare
 
 
 def test_empty_word_is_identity():
@@ -142,6 +144,35 @@ def test_framed_braid_relations_on_five_strands(name):
     assert time.perf_counter() - start < 30
     assert len(report.results) == 33
     assert report.passed, [str(r) for r in report.failures]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("name", ["sl2", "nambu4"])
+def test_disjoint_leg_relations_prove_without_a_key(name, n, monkeypatch):
+    # the kit's generator tables count the keys each relation runs through them
+    counted = dataclasses.replace(kit(name), cache={})
+    tables = []
+    for label, base in (("braiding+", counted.braiding), ("twist+", counted.twist)):
+        counted.cache[("table", label)] = CountingRows(base.materialized().steps[0][0])
+        counted.cache[("perm", label)] = None
+        tables.append(counted.cache[("table", label)])
+    visited = {}
+
+    def counting_compare(label, a, b):
+        before = sum(t.lookups for t in tables)
+        result = compare(label, a, b)
+        visited[label] = sum(t.lookups for t in tables) - before
+        return result
+
+    monkeypatch.setattr(invariant_module, "compare", counting_compare)
+    report = check_framed_braid_relations(counted, n=n)
+    assert report.passed, [str(r) for r in report.failures]
+    disjoint = {f"twist-commute[t{i},t{j}]" for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    disjoint |= {f"twist-push[t{i},s{j}]" for i in range(1, n + 1) for j in range(1, n) if i not in (j, j + 1)}
+    assert len(disjoint) == {3: 5, 5: 22}[n]
+    # the braid relations and the adjacent pushes still run keys
+    assert len(visited) == len(report.results)
+    assert {label for label, keys in visited.items() if not keys} == disjoint
 
 
 def test_tampered_twist_witness_on_non_adjacent_strands():

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from helpers import full_scan_witness
+from helpers import CountingRows, full_scan_witness
 from tsdlink.fields import RATIONALS, PrimeField
 from tsdlink.tensor import (
     SparseOperator,
@@ -309,3 +309,98 @@ def test_rank_changing_word_compares_on_every_leg(field):
     assert a.diff_witness(b) == full_scan_witness(a, b) is not None
     assert list(a.diff_witness(b)[1].items()) == list(full_scan_witness(a, b)[1].items())
     assert word(table).diff_witness(b) is None
+
+
+def _legs_word(letters, rank, dim, field):
+    """compose_chain of (table, legs, offset) padded steps: the last letter is applied first."""
+    return compose_chain([SparseOperator.padded(t, None, k, offset, rank, dim, field) for t, k, offset in letters])
+
+
+def _disjoint(x, y):
+    (_, k, i), (_, m, j) = x, y
+    return i + k <= j or j + m <= i
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["Q", "F10007"])
+def test_words_equal_up_to_disjoint_swaps_prove_without_a_key(field):
+    rng = random.Random(41 if field is RATIONALS else 43)
+    dim, rank = 3, 6
+    swapped = scanned = 0
+    for _ in range(12):
+        tables = {k: CountingRows(_random_operator(rng, k, dim, field).materialized().steps[0][0]) for k in (1, 2, 3)}
+        letters = []
+        for _ in range(rng.randint(2, 5)):
+            k = rng.choice((1, 2, 3))
+            letters.append((tables[k], k, rng.randrange(rank - k + 1)))
+        a = _legs_word(letters, rank, dim, field)
+
+        def lookups():
+            return sum(t.lookups for t in tables.values())
+
+        # swaps of adjacent steps on disjoint legs: the same per-leg sequences, no key visited
+        reordered = list(letters)
+        for _ in range(6):
+            at = rng.randrange(len(reordered) - 1)
+            if _disjoint(reordered[at], reordered[at + 1]):
+                reordered[at], reordered[at + 1] = reordered[at + 1], reordered[at]
+                swapped += reordered != letters
+        b = _legs_word(reordered, rank, dim, field)
+        before = lookups()
+        assert a.diff_witness(b) is None
+        assert lookups() == before
+        assert full_scan_witness(a, b) is None
+        # a swap of overlapping steps, or a table moved to another offset: scanned, as the full scan finds
+        variants = []
+        for at in range(len(letters) - 1):
+            if not _disjoint(letters[at], letters[at + 1]) and letters[at] != letters[at + 1]:
+                variants.append(letters[:at] + [letters[at + 1], letters[at]] + letters[at + 2 :])
+        at = rng.randrange(len(letters))
+        t, k, offset = letters[at]
+        moved = rng.choice([o for o in range(rank - k + 1) if o != offset])
+        variants.append(letters[:at] + [(t, k, moved)] + letters[at + 1 :])
+        for variant in variants:
+            b = _legs_word(variant, rank, dim, field)
+            before = lookups()
+            got = a.diff_witness(b)
+            assert lookups() > before
+            want = full_scan_witness(a, b)
+            assert got == want
+            if want is not None:
+                scanned += 1
+                assert list(got[1].items()) == list(want[1].items())
+    assert swapped and scanned
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(10007)], ids=["Q", "F10007"])
+def test_same_per_leg_letters_in_another_order_or_place_are_scanned(field):
+    rng = random.Random(47)
+    dim, rank = 3, 6
+    t, u = (CountingRows(_random_operator(rng, 2, dim, field).materialized().steps[0][0]) for _ in range(2))
+    pairs = [
+        # one table on legs 0-1 and 1-2: each leg sees it once per step it is under, at another stride
+        ([(t, 2, 0), (t, 2, 1)], [(t, 2, 1), (t, 2, 0)]),
+        # two tables on overlapping legs: leg 2 sees (t, u) against (u, t)
+        ([(t, 2, 1), (u, 2, 2)], [(u, 2, 2), (t, 2, 1)]),
+    ]
+    for left, right in pairs:
+        a, b = _legs_word(left, rank, dim, field), _legs_word(right, rank, dim, field)
+        got, want = a.diff_witness(b), full_scan_witness(a, b)
+        assert want is not None
+        assert got == want and list(got[1].items()) == list(want[1].items())
+    # X^4 -> X^3: the table on legs 1-2 then the counit on leg 3, against the counit then the
+    # table on legs 0-1; the per-place letters agree, but the counit moves the table's legs
+    drop = SparseOperator.identity(3, dim, field).tensor(counit_op(dim, field))
+    a = compose_chain([drop, SparseOperator.padded(t, None, 2, 1, 4, dim, field)])
+    b = compose_chain([SparseOperator.padded(t, None, 2, 0, 3, dim, field), drop])
+    got, want = a.diff_witness(b), full_scan_witness(a, b)
+    assert want is not None
+    assert got == want and list(got[1].items()) == list(want[1].items())
+    # a scalar step on no leg is seen by no leg's sequence
+    scalar = CountingRows((((0, field.from_int(2)),),))
+    plain = _legs_word([(t, 2, 1)], rank, dim, field)
+    scaled = compose_chain([plain, SparseOperator.padded(scalar, None, 0, 3, rank, dim, field)])
+    got = scaled.diff_witness(plain)
+    assert scalar.lookups
+    want = full_scan_witness(scaled, plain)
+    assert want is not None
+    assert got == want and list(got[1].items()) == list(want[1].items())
