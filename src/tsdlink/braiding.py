@@ -25,7 +25,8 @@ property checks, the framed-braid relations and the trace share them
 without filling memory.  The leg permutation of each table, its
 degree-preserving part, is extracted by the first trace that uses it,
 which asserts the filtration that ``check_braiding`` reports as
-``filtration``.
+``filtration``.  ``check_braiding`` runs far commutation on X^8 for every
+kit: the tensor module's per-leg proof settles it without a key.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ _TWIST_ROUTE = (0, 1, 4, 3, 2, 5)
 
 # (x1, x2, x3, y1, y2, y3) -> (x1, y2, x2, y1, y3, x3): binary twist inverse.
 _TWIST_INV_ROUTE_BIN = (0, 2, 5, 3, 1, 4)
-
-# Far commutation lives on X^8; it is checked only up to this dim = d + 1.
-_FAR_COMMUTATION_MAX_DIM = 3
 
 
 @dataclass(eq=False)
@@ -223,10 +221,10 @@ def _check_filtration(kit: BraidingKit) -> CheckResult:
 def check_braiding(kit: BraidingKit) -> ValidationReport:
     """Braid equation, inverse identities, filtration, slide identities, far commutation.
 
-    Far commutation lives on X^8 and is only checked when the algebra
-    dimension d satisfies d + 1 <= _FAR_COMMUTATION_MAX_DIM (size guard).
-    The filtration check asserts what the trace relies on: each generator is
-    its degree-preserving part plus terms of strictly lower L-degree.
+    Far commutation on X^8 swaps steps on disjoint legs; ``diff_witness``
+    proves it per leg without a key.  The filtration check asserts what the
+    trace relies on: each generator is its degree-preserving part plus
+    terms of strictly lower L-degree.
     """
     dim, field = kit.dim, kit.field
     report = ValidationReport()
@@ -244,9 +242,6 @@ def check_braiding(kit: BraidingKit) -> ValidationReport:
     report.add(compare("slide-under", kit.braiding.compose(twist_left), twist_right.compose(kit.braiding)))
     report.add(compare("slide-over", kit.braiding.compose(twist_right), twist_left.compose(kit.braiding)))
 
-    if dim <= _FAR_COMMUTATION_MAX_DIM:
-        far_left, far_right = (crossing_operator(kit, i, 1, 4) for i in (1, 3))
-        report.add(compare("far-commutation", far_left.compose(far_right), far_right.compose(far_left)))
-    else:
-        report.add(CheckResult("far-commutation", True, f"skipped (size guard, dim {dim} > {_FAR_COMMUTATION_MAX_DIM})"))
+    far_left, far_right = (crossing_operator(kit, i, 1, 4) for i in (1, 3))
+    report.add(compare("far-commutation", far_left.compose(far_right), far_right.compose(far_left)))
     return report

@@ -72,7 +72,10 @@ def parse_braid_word(text: str, strands: int) -> FramedBraidWord:
         m = _TOKEN.match(token)
         if not m:
             raise BraidSyntaxError(f"bad token {token!r} at position {pos}")
-        kind, index, exp = m.group(1), int(m.group(2)), int(m.group(3)) if m.group(3) else 1
+        try:
+            kind, index, exp = m.group(1), int(m.group(2)), int(m.group(3)) if m.group(3) else 1
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise BraidSyntaxError(f"number too long in {token!r} at position {pos}") from None
         limit = strands - 1 if kind == "s" else strands
         if not 1 <= index <= limit:
             raise BraidSyntaxError(

@@ -174,7 +174,7 @@ def _cmd_invariant(args, out) -> int:
     spec = _resolve_algebra(args.algebra)
     word = _parse_word(args)
     kit = _capped_kit(spec, args.cap)
-    result = trace_invariant(kit, word, cap=args.cap)
+    result = trace_invariant(kit, word)
     lines = [
         f"algebra: {result.algebra}",
         f"word: {result.word.word_text() or '(empty)'}",
@@ -200,7 +200,6 @@ def _cmd_markov(args, out) -> int:
         seed=args.seed,
         moves=args.moves,
         stabilize=args.stabilize,
-        cap=args.cap,
     )
     failures = _failure_payload(report.relations)
     if report.stabilize == "off" and not report.all_equal:
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--framings", default="")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=10**6, help="refuse kits with more than CAP braiding columns, (d+1)^4")
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("markov", help="seeded rewriting trials with trace comparison")
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--moves", type=int, default=6)
     p.add_argument("--stabilize", choices=("off", "plain", "compensated"), default="off")
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=10**6, help="refuse kits with more than CAP braiding columns, (d+1)^4")
     p.set_defaults(func=_cmd_markov)
 
     p = sub.add_parser("selftest", help="run the bundled-algebra verification sweep")

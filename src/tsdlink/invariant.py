@@ -18,7 +18,7 @@ traces (the Markov harness) and the braiding checks never rebuild them.
 from __future__ import annotations
 
 import random
-import time
+import sys
 from dataclasses import dataclass
 
 from .algebra import ValidationReport
@@ -29,7 +29,7 @@ from .tsd import compare
 
 
 class DimensionCapError(RuntimeError):
-    """Operator dimension exceeds the configured cap."""
+    """A refused size: a kit past ``--cap``, or a printed number past Python's int-to-str limit."""
 
 
 @dataclass
@@ -40,7 +40,6 @@ class InvariantResult:
     word: FramedBraidWord
     strands: int
     operator_dim: int
-    timing_ms: int
 
 
 def representation(kit: BraidingKit, word: FramedBraidWord) -> SparseOperator:
@@ -71,18 +70,20 @@ def representation(kit: BraidingKit, word: FramedBraidWord) -> SparseOperator:
     return compose_chain([*ops, SparseOperator.identity(2 * n, kit.dim, kit.field)])
 
 
-def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -> InvariantResult:
-    """Exact trace of the represented operator (the link invariant)."""
+def trace_invariant(kit: BraidingKit, word: FramedBraidWord) -> InvariantResult:
+    """Exact trace of the represented operator (the link invariant).
+
+    It reads no column, so no dimension is capped.  DimensionCapError refuses a word whose
+    operator dimension (a bound on the value over Q) or a framing has more digits than Python prints.
+    """
     word = normalize(word)
     operator_dim = kit.dim ** (2 * word.strands)
-    if operator_dim > cap:
-        raise DimensionCapError(
-            f"operator dimension {kit.dim}^{2 * word.strands} exceeds cap {cap}; "
-            "the cap bounds the dimension dim^(2n) of the represented operator; use fewer strands or a larger --cap"
-        )
-    start = time.monotonic()
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before Python 3.10.7
+    framing = max(map(abs, word.framings), default=0)
+    for name, number in ((f"operator dimension {kit.dim}^{2 * word.strands}", operator_dim), ("a framing", framing)):
+        if limit and number.bit_length() > 3 * limit and number >= 10**limit:  # 2^(3L) < 10^L
+            raise DimensionCapError(f"{name} has more than {limit} digits, more than Python prints")
     value = representation(kit, word).trace()
-    elapsed = int((time.monotonic() - start) * 1000)
     return InvariantResult(
         value=value,
         value_text=kit.field.render(value),
@@ -90,7 +91,6 @@ def trace_invariant(kit: BraidingKit, word: FramedBraidWord, cap: int = 10**6) -
         word=word,
         strands=word.strands,
         operator_dim=operator_dim,
-        timing_ms=elapsed,
     )
 
 
@@ -198,7 +198,6 @@ def markov_report(
     seed: int,
     moves: int = 6,
     stabilize: str = "off",
-    cap: int = 10**6,
 ) -> MarkovReport:
     """Seeded rewriting trials with exact trace comparison.
 
@@ -210,13 +209,13 @@ def markov_report(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     base_word = normalize(word)
-    base = trace_invariant(kit, base_word, cap=cap)
+    base = trace_invariant(kit, base_word)
     master = random.Random(seed)
     results: list[TrialResult] = []
     for _ in range(trials):
         sub_seed = master.randrange(2**32)
         rewritten, log = random_markov_equivalent(base_word, sub_seed, moves, stabilize=stabilize)
-        value = trace_invariant(kit, rewritten, cap=cap).value
+        value = trace_invariant(kit, rewritten).value
         results.append(
             TrialResult(sub_seed, rewritten, log, value, kit.field.render(value), value == base.value)
         )

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -97,17 +98,26 @@ def test_malformed_numbers_are_usage_errors(edit, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_check_all_bundled_matches_fixture():
-    """`check ALG --property all` on the six bundled algebras: text and exit code, byte for byte.
+CHECK_ALL_FIXTURE = Path(__file__).parent / "fixtures" / "check_all.txt"
 
-    The fixture holds, per algebra, the command line after "$ ", its output
-    and "exit: CODE".
-    """
+
+def check_all_text() -> str:
+    """Per bundled algebra, the command line after "$ ", its output and "exit: CODE"."""
     parts = []
     for name in ("abelian1", "abelian2", "heisenberg3", "so3", "sl2", "nambu4"):
         code, text = run(["check", name, "--property", "all"])
         parts.append(f"$ tsdlink check {name} --property all\n{text}exit: {code}\n")
-    assert "".join(parts) == (Path(__file__).parent / "fixtures" / "check_all.txt").read_text()
+    return "".join(parts)
+
+
+def test_check_all_bundled_matches_fixture():
+    """`check ALG --property all` on the six bundled algebras: text and exit code, byte for byte.
+
+    Regenerate the fixture only when a check line is meant to change:
+
+        PYTHONPATH=src python tests/test_cli.py > tests/fixtures/check_all.txt
+    """
+    assert check_all_text() == CHECK_ALL_FIXTURE.read_text()
 
 
 def test_check_ybe_nambu4():
@@ -147,8 +157,16 @@ def test_invariant_with_framings():
         (["sl2", "--strands", "1", "--word", "", "--framings", "99999999"], "16"),
         (["sl2", "--strands", "2", "--word", "s1^99999999999999999999"], "16"),
         (["nambu4", "--strands", "8", "--word", "s1 s2 s3 s4 s5 s6 s7", "--cap", "1000000000000"], "25"),
+        (["nambu4", "--strands", "5", "--word", "s1"], "390625"),
     ],
-    ids=["framing-1200", "s1^600", "framing-99999999", "s1^(10^20-1)", "nambu4-8-strands"],
+    ids=[
+        "framing-1200",
+        "s1^600",
+        "framing-99999999",
+        "s1^(10^20-1)",
+        "nambu4-8-strands",
+        "nambu4-5-strands",
+    ],
 )
 def test_invariant_deep_words(argv, value):
     # powers by squaring: O(log |e|) compositions, no recursion; the trace visits no column
@@ -167,22 +185,55 @@ def test_invariant_cap_error():
     assert code == 2
 
 
+NINES_4300, NINES_5000 = "9" * 4300, "9" * 5000
+TWO_4300_DIGIT_TWISTS = f"t1^{NINES_4300} t1^{NINES_4300}"  # their framing sum has 4,301 digits
+
+
+def _too_long(name):
+    return f"{name} has more than 4300 digits, more than Python prints"
+
+
 @pytest.mark.parametrize(
-    "argv,dimension",
+    "argv,message",
     [
-        (["invariant", "sl2", "--strands", "3572", "--word", ""], "4^7144"),
-        (["markov", "nambu4", "--strands", "3100", "--word", "", "--trials", "1"], "5^6200"),
+        (["invariant", "sl2", "--strands", "3572", "--word", ""], _too_long("operator dimension 4^7144")),
+        (
+            ["markov", "nambu4", "--strands", "3100", "--word", "", "--trials", "1"],
+            _too_long("operator dimension 5^6200"),
+        ),
+        (["invariant", "sl2", "--strands", "1", "--word", TWO_4300_DIGIT_TWISTS], _too_long("a framing")),
+        (
+            ["markov", "sl2", "--strands", "1", "--word", TWO_4300_DIGIT_TWISTS, "--trials", "1"],
+            _too_long("a framing"),
+        ),
+        (
+            ["invariant", "sl2", "--strands", "2", "--word", f"s1^{NINES_5000}"],
+            f"number too long in 's1^{NINES_5000}' at position 0",
+        ),
+        (
+            ["invariant", "sl2", "--strands", "2", "--word", f"s1 t1^{NINES_5000}"],
+            f"number too long in 't1^{NINES_5000}' at position 3",
+        ),
+        (
+            ["invariant", "sl2", "--strands", "2", "--word", f"s{NINES_5000}"],
+            f"number too long in 's{NINES_5000}' at position 0",
+        ),
     ],
-    ids=["invariant-3572-strands", "markov-3100-strands"],
+    ids=[
+        "invariant-3572-strands",
+        "markov-3100-strands",
+        "invariant-framing-sum",
+        "markov-framing-sum",
+        "crossing-exponent",
+        "twist-exponent",
+        "crossing-index",
+    ],
 )
-def test_cap_error_past_the_int_str_limit_is_one_line(argv, dimension, capsys):
-    # dim^(2n) has more than 4,300 digits here; the message names it as a power
+def test_cap_error_past_the_int_str_limit_is_one_line(argv, message, capsys):
+    # each number has more than 4,300 digits: one line on stderr, no traceback
     code, text = run(argv)
     assert (code, text) == (2, "")
-    assert capsys.readouterr().err == (
-        f"error: operator dimension {dimension} exceeds cap 1000000; the cap bounds the dimension dim^(2n) "
-        "of the represented operator; use fewer strands or a larger --cap\n"
-    )
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", [["invariant"], ["markov", "--trials", "1"]], ids=["invariant", "markov"])
@@ -273,3 +324,7 @@ def test_selftest_sweep():
     assert "validate sl2: PASS" in text
     assert "braiding nambu4: PASS" in text
     assert "markov sl2 trefoil: 5/5 trials matched the base trace" in text
+
+
+if __name__ == "__main__":
+    sys.stdout.write(check_all_text())

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -109,9 +110,18 @@ def test_framing_probe_reproducible():
 
 
 def test_dimension_cap():
+    # the trace reads no column, so no operator dimension is refused: 5^10 here
+    assert trace_invariant(kit("nambu4"), parse_braid_word("s1", 5)).value == 390625
+    # only a number past Python's int-to-str limit is refused: the operator dimension or a framing
+    limit = sys.get_int_max_str_digits()
     k = kit("sl2")
-    with pytest.raises(DimensionCapError, match="cap"):
-        trace_invariant(k, parse_braid_word("s1", 2), cap=100)
+    assert trace_invariant(k, FramedBraidWord(1, (1 - 10**limit,), ())).value == 16
+    for word, name in (
+        (FramedBraidWord(3572, (0,) * 3572, ()), "operator dimension 4^7144"),
+        (FramedBraidWord(1, (-(10**limit),), ()), "a framing"),
+    ):
+        with pytest.raises(DimensionCapError, match=f"^{re.escape(name)} has more than {limit} digits"):
+            trace_invariant(k, word)
 
 
 def test_prime_field_pipeline_matches_rational_mod_p():
