@@ -25,16 +25,18 @@ property checks, the framed-braid relations and the trace share them
 without filling memory.  The leg permutation of each table, its
 degree-preserving part, is extracted by the first trace that uses it,
 which asserts the filtration that ``check_braiding`` reports as
-``filtration``.  ``check_braiding`` runs far commutation on X^8 for every
-kit: the tensor module's per-leg proof settles it without a key.
+``filtration``.  A braid word is one word of padded steps
+(``word_operator``), and a kit identity is a pair of braid words
+(``relation``), compared once per kit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import lru_cache, partial
 
 from .algebra import AlgebraSpec, CheckResult, ValidationReport
+from .braids import parse_braid_word
 from .tensor import (
     SparseOperator,
     compose_chain,
@@ -73,7 +75,7 @@ class BraidingKit:
     braiding_inv: SparseOperator   # X^4 -> X^4
     twist: SparseOperator          # X^2 -> X^2
     twist_inv: SparseOperator      # X^2 -> X^2
-    # memo for generator tables, padded generators, generator powers, relation reports
+    # memo for generator tables, padded generators, generator powers, relation results
     cache: dict = dataclass_field(default_factory=dict, repr=False)
 
     @property
@@ -156,17 +158,18 @@ def make_braiding_kit(source: AlgebraSpec | TsdPair) -> BraidingKit:
 def _padded(kit: BraidingKit, name: str, base: SparseOperator, strand: int, n: int) -> SparseOperator:
     """base on the legs of strand `strand` onward, of n strands; identity elsewhere.
 
-    The table of `base` (the one step of its materialization) is memoized
-    in the kit under `name`, and so is the padded operator, which holds only
-    a reference to that table, and a memoized extractor of its leg
-    permutation, which a trace calls first.
+    The table of `base` (its one materialized step, materialized first if
+    it is not one) is memoized in the kit under `name`, and so is the padded
+    operator, which holds only a reference to that table, and a memoized
+    extractor of its leg permutation, which a trace calls first.
     """
     key = ("pad", name, strand, n)
     op = kit.cache.get(key)
     if op is None:
         rows = kit.cache.get(("table", name))
         if rows is None:
-            rows = kit.cache[("table", name)] = base.materialized().steps[0][0]
+            materialized = len(base.steps) == 1 and type(base.steps[0][0]) is tuple
+            rows = kit.cache[("table", name)] = (base if materialized else base.materialized()).steps[0][0]
             kit.cache[("perm", name)] = lru_cache(maxsize=None)(partial(leg_permutation, base))
         perm = kit.cache[("perm", name)]
         op = SparseOperator.padded(rows, perm, base.in_rank, 2 * (strand - 1), 2 * n, kit.dim, kit.field)
@@ -200,9 +203,35 @@ def padded_power(kit: BraidingKit, name: str, exponent: int, strand: int, n: int
     return _padded(kit, label, power(kit, name, exponent), strand, n)
 
 
-def crossing_operator(kit: BraidingKit, index: int, exponent: int, n: int) -> SparseOperator:
-    """sigma_index^exponent on X^(2n), as one padded step."""
-    return padded_power(kit, "braiding", exponent, index, n)
+def word_operator(kit: BraidingKit, letters, n: int) -> SparseOperator:
+    """The operator of braid letters (kind, index, exp), read left to right, on X^(2n).
+
+    One word of padded steps; no letters make the empty word.  A letter
+    s_i^e is one step of R^e from |e| = 4 on, where squaring first saves a
+    composition, else |e| steps of R^(+-1) (column entries then keep the
+    order of the product of generators); t_i^f is one step of theta^f.
+    """
+    ops = []
+    for kind, index, exp in letters:
+        if kind == "s" and abs(exp) < 4:
+            ops.extend([padded_power(kit, "braiding", 1 if exp > 0 else -1, index, n)] * abs(exp))
+        else:
+            ops.append(padded_power(kit, "braiding" if kind == "s" else "twist", exp, index, n))
+    return compose_chain([*ops, SparseOperator.identity(2 * n, kit.dim, kit.field)])
+
+
+def relation(kit: BraidingKit, name: str, n: int, lhs: str, rhs: str) -> CheckResult:
+    """Whether the braid words lhs and rhs act alike on X^(2n), reported under `name`.
+
+    The result is memoized per kit by the pair of word texts, so an identity
+    that two checks share under two names is scanned once.
+    """
+    key = ("relation", n, lhs, rhs)
+    result = kit.cache.get(key)
+    if result is None:
+        sides = (word_operator(kit, parse_braid_word(text, n).letters, n) for text in (lhs, rhs))
+        result = kit.cache[key] = compare(name, *sides)
+    return replace(result, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -228,20 +257,13 @@ def check_braiding(kit: BraidingKit) -> ValidationReport:
     """
     dim, field = kit.dim, kit.field
     report = ValidationReport()
-
-    left, right = (crossing_operator(kit, i, 1, 3) for i in (1, 2))
-    report.add(compare("ybe", compose_chain([left, right, left]), compose_chain([right, left, right])))
-
+    report.add(relation(kit, "ybe", 3, "s1 s2 s1", "s2 s1 s2"))
     identity4 = SparseOperator.identity(4, dim, field)
     report.add(compare("braiding-invertible", kit.braiding_inv.compose(kit.braiding), identity4))
     identity2 = SparseOperator.identity(2, dim, field)
     report.add(compare("twist-invertible", kit.twist_inv.compose(kit.twist), identity2))
     report.add(_check_filtration(kit))
-
-    twist_left, twist_right = (padded_power(kit, "twist", 1, i, 2) for i in (1, 2))
-    report.add(compare("slide-under", kit.braiding.compose(twist_left), twist_right.compose(kit.braiding)))
-    report.add(compare("slide-over", kit.braiding.compose(twist_right), twist_left.compose(kit.braiding)))
-
-    far_left, far_right = (crossing_operator(kit, i, 1, 4) for i in (1, 3))
-    report.add(compare("far-commutation", far_left.compose(far_right), far_right.compose(far_left)))
+    report.add(relation(kit, "slide-under", 2, "s1 t1", "t2 s1"))
+    report.add(relation(kit, "slide-over", 2, "s1 t2", "t1 s1"))
+    report.add(relation(kit, "far-commutation", 4, "s1 s3", "s3 s1"))
     return report

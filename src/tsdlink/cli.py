@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from importlib import resources
@@ -73,13 +74,19 @@ def _resolve_algebra(path_text: str) -> AlgebraSpec:
     raise CliError(f"cannot read algebra {path_text!r}: no such file or bundled algebra")
 
 
+def _framing(entry: str, framings: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", entry):  # more digits than sys.get_int_max_str_digits()
+            raise CliError(f"number too long in --framings entry {entry!r}") from None
+        raise CliError(f"bad --framings {framings!r}: need comma-separated integers") from None
+
+
 def _parse_word(args) -> FramedBraidWord:
     word = parse_braid_word(args.word, args.strands)
     if args.framings:
-        try:
-            override = tuple(int(f) for f in args.framings.split(","))
-        except ValueError:
-            raise CliError(f"bad --framings {args.framings!r}: need comma-separated integers")
+        override = tuple(_framing(f, args.framings) for f in args.framings.split(","))
         if len(override) != args.strands:
             raise CliError(f"--framings needs {args.strands} entries, got {len(override)}")
         word = FramedBraidWord(word.strands, override, word.letters)
@@ -92,7 +99,7 @@ def _capped_kit(spec: AlgebraSpec, cap: int) -> BraidingKit:
     if dim**4 > cap:
         raise DimensionCapError(
             f"kit build needs the braiding on {dim}^4 columns, which exceeds cap {cap}; "
-            "the cap also bounds the kit build; use a smaller algebra or a larger --cap"
+            "use a smaller algebra or a larger --cap"
         )
     return make_braiding_kit(spec)
 
@@ -146,13 +153,15 @@ def _cmd_check(args, out) -> int:
             tsd_checks.update(names)
     if prop == "all" and spec.arity == 2:
         tsd_checks.add("q-self-distributive")
+    # one pair per command: the TSD checks and the kit build share its T and T~ rows
+    needs_kit = prop in ("ybe", "slide", "fb-relations", "all")
+    pair = make_tsd_pair(spec) if tsd_checks or needs_kit else None
     if tsd_checks:
-        pair = make_tsd_pair(spec)
         for r in check_tsd_properties(pair, sorted(tsd_checks)).results:
             report.add(r)
 
-    if prop in ("ybe", "slide", "fb-relations", "all"):
-        kit = make_braiding_kit(spec)
+    if needs_kit:
+        kit = make_braiding_kit(pair)
         if prop in ("ybe", "slide", "all"):
             braiding_report = check_braiding(kit)
             keep = {

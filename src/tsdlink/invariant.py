@@ -13,6 +13,8 @@ generator is filtered (see the tensor module), and it reads no column.
 Padded generators, their tables and leg permutations (built in the
 braiding module) and generator powers are memoized per kit, so repeated
 traces (the Markov harness) and the braiding checks never rebuild them.
+The defining relations of the framed braid group are pairs of braid words
+(``braiding.relation``), each compared once per kit.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import ValidationReport
-from .braiding import BraidingKit, crossing_operator, padded_power
+from .braiding import BraidingKit, relation, word_operator
 from .braids import FramedBraidWord, MarkovTrace, normalize, random_markov_equivalent
-from .tensor import SparseOperator, compose_chain
-from .tsd import compare
+from .tensor import SparseOperator
 
 
 class DimensionCapError(RuntimeError):
@@ -45,29 +46,15 @@ class InvariantResult:
 def representation(kit: BraidingKit, word: FramedBraidWord) -> SparseOperator:
     """The operator on X^(2n) represented by a normalized framed word.
 
-    One word of padded steps: the crossing letters left to right, after one
-    twist-power step per framed strand; the empty word has no steps.  A
-    letter s_i^e is one step of R^e from |e| = 4 on, where squaring first
-    saves a composition, else |e| steps of R^(+-1) (column entries then keep
-    the order of the product of generators).
+    One word of padded steps (``word_operator``): the crossing letters left
+    to right, after one twist letter t_i^(f_i) per framed strand.
     """
     if not word.is_normalized:
         raise ValueError("word is not normalized; call normalize() first")
-    n = word.strands
-    ops = []
-    for _, index, exp in word.letters:
-        if abs(exp) < 4:
-            ops.extend([crossing_operator(kit, index, 1 if exp > 0 else -1, n)] * abs(exp))
-        else:
-            ops.append(crossing_operator(kit, index, exp, n))
-    # the last op is applied first; strand 1's twist first keeps column entries
-    # in the order of the product twist^(t_1) (x) ... (x) twist^(t_n)
-    ops.extend(
-        padded_power(kit, "twist", f, strand, n)
-        for strand, f in reversed(list(enumerate(word.framings, 1)))
-        if f
-    )
-    return compose_chain([*ops, SparseOperator.identity(2 * n, kit.dim, kit.field)])
+    # the last letter is applied first; strand 1's twist first keeps column
+    # entries in the order of the product twist^(f_1) (x) ... (x) twist^(f_n)
+    twists = [("t", strand, f) for strand, f in reversed(list(enumerate(word.framings, 1))) if f]
+    return word_operator(kit, [*word.letters, *twists], word.strands)
 
 
 def trace_invariant(kit: BraidingKit, word: FramedBraidWord) -> InvariantResult:
@@ -107,35 +94,17 @@ def check_framed_braid_relations(kit: BraidingKit, n: int = 3) -> ValidationRepo
     without a key.  The braid relations and the pushes past a crossing of
     the twisted strand are scanned on the legs their steps touch.
     """
-    key = ("fb-relations", n)
-    cached = kit.cache.get(key)
-    if cached is not None:
-        return cached
     report = ValidationReport()
-    sigma = [crossing_operator(kit, i, 1, n) for i in range(1, n)]
-    tw = [padded_power(kit, "twist", 1, i, n) for i in range(1, n + 1)]
-    for i in range(len(sigma) - 1):
-        report.add(
-            compare(
-                f"braid-relation[s{i + 1},s{i + 2}]",
-                compose_chain([sigma[i], sigma[i + 1], sigma[i]]),
-                compose_chain([sigma[i + 1], sigma[i], sigma[i + 1]]),
-            )
-        )
-    for i in range(n):
-        for j in range(i + 1, n):
-            report.add(compare(f"twist-commute[t{i + 1},t{j + 1}]", tw[i].compose(tw[j]), tw[j].compose(tw[i])))
+    for i in range(1, n - 1):
+        words = f"s{i} s{i + 1} s{i}", f"s{i + 1} s{i} s{i + 1}"
+        report.add(relation(kit, f"braid-relation[s{i},s{i + 1}]", n, *words))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            report.add(relation(kit, f"twist-commute[t{i},t{j}]", n, f"t{i} t{j}", f"t{j} t{i}"))
     for i in range(1, n + 1):
         for j in range(1, n):
             image = j + 1 if i == j else j if i == j + 1 else i
-            report.add(
-                compare(
-                    f"twist-push[t{i},s{j}]",
-                    tw[i - 1].compose(sigma[j - 1]),
-                    sigma[j - 1].compose(tw[image - 1]),
-                )
-            )
-    kit.cache[key] = report
+            report.add(relation(kit, f"twist-push[t{i},s{j}]", n, f"t{i} s{j}", f"s{j} t{image}"))
     return report
 
 

@@ -153,13 +153,6 @@ def make_tsd_pair(spec: AlgebraSpec) -> TsdPair:
     return TsdPair(spec, build_T(spec), build_T_tilde(spec), path)
 
 
-def reversibility_routes(arity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(definition-leg route, proof-leg route) for the given arity."""
-    if arity == 2:
-        return _REV_BINARY_DEF, _REV_BINARY_LEM
-    return _REV_TERNARY_DEF, _REV_TERNARY_LEM
-
-
 # --------------------------------------------------------------------------
 # Property checks (exact operator identities)
 
@@ -221,9 +214,9 @@ def _check_reversibility(pair: TsdPair) -> list[CheckResult]:
     expand = tensor_chain([one1, d2, d2])
     eps = counit_op(dim, field)
     target = tensor_chain([one1, eps, eps])
-    def_route, lem_route = reversibility_routes(pair.algebra.arity)
+    routes = (_REV_BINARY_DEF, _REV_BINARY_LEM) if pair.algebra.arity == 2 else (_REV_TERNARY_DEF, _REV_TERNARY_LEM)
     results = []
-    for order_name, route in (("def-legs", def_route), ("proof-legs", lem_route)):
+    for order_name, route in zip(("def-legs", "proof-legs"), routes):
         perm = SparseOperator.permutation(route, dim, field)
         for pair_name, outer, inner in (("rev.fwd", pair.rev, pair.op), ("fwd.rev", pair.op, pair.rev)):
             lhs = compose_chain([outer, tensor_chain([inner, one1, one1]), perm, expand])

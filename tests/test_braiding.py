@@ -11,13 +11,13 @@ from tsdlink.braiding import (
     build_twist,
     build_twist_inverse,
     check_braiding,
-    crossing_operator,
     make_braiding_kit,
+    padded_power,
     power,
 )
 from tsdlink.braids import parse_braid_word
 from tsdlink.invariant import check_framed_braid_relations, trace_invariant
-from tsdlink.tensor import SparseOperator, iter_indices
+from tsdlink.tensor import SparseOperator, compose_chain, iter_indices
 from tsdlink.tsd import TsdPair, build_T_tilde
 
 # frozen by the dense oracle (see test_oracle.py); basis order (b0, h, e, f)
@@ -89,7 +89,9 @@ def test_checks_share_padded_crossings():
     # the braid equation memoized these operators; the relations get the same objects
     sigma = [k.cache[("pad", "braiding+", i, 3)] for i in (1, 2)]
     check_framed_braid_relations(k)
-    assert all(crossing_operator(k, i, 1, 3) is s for i, s in zip((1, 2), sigma))
+    assert all(padded_power(k, "braiding", 1, i, 3) is s for i, s in zip((1, 2), sigma))
+    # the kit's braiding is one materialized step: its rows are the table, not a copy
+    assert k.cache[("table", "braiding+")] is k.braiding.steps[0][0]
     trace_invariant(k, parse_braid_word("s1 s2^-1 t3^2", 3))
     operators = {key: op for key, op in k.cache.items() if isinstance(op, SparseOperator)}
     padded = {key: op for key, op in operators.items() if key[0] == "pad"}
@@ -98,6 +100,28 @@ def test_checks_share_padded_crossings():
     for (_, name, _, _), op in padded.items():
         table = k.cache[("table", name)]
         assert isinstance(table, tuple) and len(op.steps) == 1 and op.steps[0][0] is table
+
+
+@pytest.mark.parametrize("name", ["sl2", "nambu4"])
+def test_braid_equation_is_compared_once_per_kit(name, monkeypatch):
+    # ybe and braid-relation[s1,s2] on three strands are the same pair of words
+    k = make_braiding_kit(tsd_pair(name))  # fresh kit: empty cache
+    s1, s2 = (padded_power(k, "braiding", 1, i, 3) for i in (1, 2))
+    pair = (compose_chain([s1, s2, s1]).steps, compose_chain([s2, s1, s2]).steps)
+    calls = []
+    diff_witness = SparseOperator.diff_witness
+
+    def counting_diff_witness(self, other):
+        calls.append((self.steps, other.steps) == pair)
+        return diff_witness(self, other)
+
+    monkeypatch.setattr(SparseOperator, "diff_witness", counting_diff_witness)
+    braiding = check_braiding(k)
+    relations = check_framed_braid_relations(k, 3)
+    assert sum(calls) == 1
+    ybe = [r for r in braiding.results if r.name == "ybe"]
+    braid = [r for r in relations.results if r.name == "braid-relation[s1,s2]"]
+    assert [(r.ok, r.detail) for r in ybe] == [(r.ok, r.detail) for r in braid] == [(True, f"{k.dim**6} columns")]
 
 
 def test_check_path_builds_no_graded_tables():
@@ -158,7 +182,7 @@ def test_padded_generators_match_tensor_padding(name, n):
     k = kit(name)
     for strand in range(1, n):
         for sign, base in ((1, k.braiding), (-1, k.braiding_inv)):
-            op = crossing_operator(k, strand, sign, n)
+            op = padded_power(k, "braiding", sign, strand, n)
             assert same_columns(padded_reference(k, base, strand, n), op), (strand, sign)
     for strand in range(1, n + 1):
         for exp in (1, -1, 2):

@@ -218,6 +218,10 @@ def _too_long(name):
             ["invariant", "sl2", "--strands", "2", "--word", f"s{NINES_5000}"],
             f"number too long in 's{NINES_5000}' at position 0",
         ),
+        (
+            ["invariant", "sl2", "--strands", "1", "--word", "", "--framings", NINES_5000],
+            f"number too long in --framings entry '{NINES_5000}'",
+        ),
     ],
     ids=[
         "invariant-3572-strands",
@@ -227,6 +231,7 @@ def _too_long(name):
         "crossing-exponent",
         "twist-exponent",
         "crossing-index",
+        "framing-entry",
     ],
 )
 def test_cap_error_past_the_int_str_limit_is_one_line(argv, message, capsys):
@@ -249,7 +254,7 @@ def test_kit_build_past_the_cap_is_one_line(command, tmp_path, capsys):
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == (
         "error: kit build needs the braiding on 41^4 columns, which exceeds cap 1000000; "
-        "the cap also bounds the kit build; use a smaller algebra or a larger --cap\n"
+        "use a smaller algebra or a larger --cap\n"
     )
 
 
