@@ -242,15 +242,17 @@ def _cmd_selftest(args, out) -> int:
     ]
     for spec in bundled:
         run(f"validate {spec.name}", validate_algebra(spec))
-    for spec in bundled:
-        pair = make_tsd_pair(spec)
-        run(f"tsd properties {spec.name}", check_tsd_properties(pair))
-    for spec in bundled:
-        kit = make_braiding_kit(spec)
-        run(f"braiding {spec.name}", check_braiding(kit))
-        run(f"framed braid relations {spec.name}", check_framed_braid_relations(kit))
-    kit = make_braiding_kit(builtin_algebra("sl2"))
-    report = markov_report(kit, parse_braid_word("s1 s1 s1", 2), trials=5, seed=7, moves=4)
+    # one pair per algebra: the TSD checks and the kit build share its T and T~ rows
+    pairs = [make_tsd_pair(spec) for spec in bundled]
+    for pair in pairs:
+        run(f"tsd properties {pair.algebra.name}", check_tsd_properties(pair))
+    for pair in pairs:
+        kit = make_braiding_kit(pair)
+        run(f"braiding {kit.algebra.name}", check_braiding(kit))
+        run(f"framed braid relations {kit.algebra.name}", check_framed_braid_relations(kit))
+        if kit.algebra.name == "sl2":
+            trefoil_kit = kit
+    report = markov_report(trefoil_kit, parse_braid_word("s1 s1 s1", 2), trials=5, seed=7, moves=4)
     lines.append(f"markov sl2 trefoil: {report.verdict()}")
     if not report.all_equal:
         failures.append({"check": "markov", "witness": "sl2 trefoil", "residual": "trace drift"})

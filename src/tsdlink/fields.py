@@ -88,7 +88,6 @@ class RationalField(Field):
     # int/Fraction interop makes plain operator dispatch exact and canonical
     # (Fraction auto-reduces; int results stay int).
     add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
 
     def neg(self, a):
@@ -149,9 +148,6 @@ class PrimeField(Field):
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p

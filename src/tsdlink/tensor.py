@@ -78,9 +78,6 @@ class SparseTensor:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def coefficient(self, idx: tuple):
-        return self.entries.get(idx, self.field.zero)
-
     def scaled(self, c) -> "SparseTensor":
         if c == self.field.zero:
             return SparseTensor(self.rank, {}, self.field)

@@ -60,9 +60,6 @@ _REV_TERNARY_LEM = (0, 1, 3, 2, 4)
 # (x, y, z1, z2) -> (x, z1, y, z2): duplicate the last input and interleave.
 _SD_MIDDLE_SWAP = (0, 2, 1, 3)
 
-# (x1, x2, y1, y2) -> (x1, y1, x2, y2): tensor-coalgebra shuffle on two factors.
-_SHUFFLE_2X2 = (0, 2, 1, 3)
-
 
 @dataclass
 class TsdPair:
@@ -159,17 +156,6 @@ def make_tsd_pair(spec: AlgebraSpec) -> TsdPair:
 CHECK_NAMES = ("tsd", "tsd-tilde", "coalgebra-morphism", "reversibility", "mixed", "q-self-distributive")
 
 
-def _tsd_sides(pair: TsdPair, outer: SparseOperator, inner: SparseOperator):
-    """LHS/RHS of the self-distributivity diagram for given outer/inner maps."""
-    dim, field = pair.dim, pair.field
-    one1 = SparseOperator.identity(1, dim, field)
-    lhs = outer.compose(tensor_chain([inner, one1, one1]))
-    route = SparseOperator.permutation(INTERLEAVE_9, dim, field)
-    expand = tensor_chain([one1, one1, one1, delta_op(3, dim, field), delta_op(3, dim, field)])
-    rhs = compose_chain([outer, tensor_chain([inner, inner, inner]), route, expand])
-    return lhs, rhs
-
-
 def compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> CheckResult:
     """Check lhs == rhs on every basis column; on failure report the first witness."""
     witness = lhs.diff_witness(rhs)
@@ -179,82 +165,61 @@ def compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> CheckResult:
     return CheckResult(name, False, witness=idx, residual=residual)
 
 
-def _check_tsd(pair: TsdPair, use_tilde: bool) -> CheckResult:
-    m = pair.rev if use_tilde else pair.op
-    lhs, rhs = _tsd_sides(pair, m, m)
-    return compare("tsd-tilde" if use_tilde else "tsd", lhs, rhs)
+def _identities(pair: TsdPair, which: set):
+    """(name, lhs, rhs) for every selected identity, in report order.
 
-
-def _check_coalgebra_morphism(pair: TsdPair) -> list[CheckResult]:
-    """The ternary map intertwines the (iterated) comultiplications and counits."""
-    dim, field = pair.dim, pair.field
-    d3 = delta_op(3, dim, field)
+    The structural leaves (the identity, the comultiplications, the counit,
+    the 9-leg interleave and the expansion of the last two inputs) are built
+    once here, so the identities of one sweep share their rows.
+    """
+    dim, field, op, rev = pair.dim, pair.field, pair.op, pair.rev
+    one1 = SparseOperator.identity(1, dim, field)
+    d2, d3 = delta_op(2, dim, field), delta_op(3, dim, field)
+    eps = counit_op(dim, field)
     route = SparseOperator.permutation(INTERLEAVE_9, dim, field)
-    eps = counit_op(dim, field)
-    eps3 = tensor_chain([eps, eps, eps])
-    results = []
-    for label, m in (("", pair.op), ("~", pair.rev)):
-        lhs = d3.compose(m)
-        rhs = compose_chain([tensor_chain([m, m, m]), route, tensor_chain([d3, d3, d3])])
-        results.append(compare(f"coalgebra-morphism{label}", lhs, rhs))
-        results.append(compare(f"counit-compat{label}", eps.compose(m), eps3))
-    return results
+    expand = tensor_chain([one1, one1, one1, d3, d3])
 
+    def lhs(outer, inner):
+        """outer(inner(x, y, z), u, v): the left side of the self-distributivity diagram."""
+        return outer.compose(tensor_chain([inner, one1, one1]))
 
-def _check_reversibility(pair: TsdPair) -> list[CheckResult]:
-    """Undoing with the reversing partner recovers x . eps(y) eps(z).
+    def rhs(outer, inner):
+        """outer(inner(x, u1, v1), inner(y, u2, v2), inner(z, u3, v3)), with u and v comultiplied into three legs."""
+        return compose_chain([outer, tensor_chain([inner, inner, inner]), route, expand])
 
-    Checked for both Sweedler leg orders and with the two maps exchanged
-    (four identities); cocommutativity makes the two leg orders agree, and
-    the check documents that.
-    """
-    dim, field = pair.dim, pair.field
-    one1 = SparseOperator.identity(1, dim, field)
-    d2 = delta_op(2, dim, field)
-    expand = tensor_chain([one1, d2, d2])
-    eps = counit_op(dim, field)
-    target = tensor_chain([one1, eps, eps])
-    routes = (_REV_BINARY_DEF, _REV_BINARY_LEM) if pair.algebra.arity == 2 else (_REV_TERNARY_DEF, _REV_TERNARY_LEM)
-    results = []
-    for order_name, route in zip(("def-legs", "proof-legs"), routes):
-        perm = SparseOperator.permutation(route, dim, field)
-        for pair_name, outer, inner in (("rev.fwd", pair.rev, pair.op), ("fwd.rev", pair.op, pair.rev)):
-            lhs = compose_chain([outer, tensor_chain([inner, one1, one1]), perm, expand])
-            results.append(compare(f"reversibility[{pair_name},{order_name}]", lhs, target))
-    return results
-
-
-def _check_mixed(pair: TsdPair) -> list[CheckResult]:
-    """Mixed distributivity of the map and its partner, (x, y, z) reading.
-
-    LHS: a(b(x,y,z), u, v); RHS distributes a inside over the three legs,
-    with b outside -- the self-distributivity diagram with different
-    outer maps on its two sides.
-    """
-    return [
-        compare(name, _tsd_sides(pair, a, b)[0], _tsd_sides(pair, b, a)[1])
-        for name, a, b in (("mixed[fwd-outer]", pair.op, pair.rev), ("mixed[rev-outer]", pair.rev, pair.op))
-    ]
-
-
-def _check_q_self_distributive(pair: TsdPair) -> list[CheckResult]:
-    if pair.algebra.arity != 2:
-        raise AlgebraError("q checks need an arity-2 algebra")
-    dim, field = pair.dim, pair.field
-    q = build_q(pair.algebra)
-    one1 = SparseOperator.identity(1, dim, field)
-    lhs = q.compose(tensor_chain([q, one1]))
-    rhs = compose_chain(
-        [
-            q,
-            tensor_chain([q, q]),
-            SparseOperator.permutation(_SD_MIDDLE_SWAP, dim, field),
-            tensor_chain([one1, one1, delta_op(2, dim, field)]),
-        ],
-    )
-    results = [compare("q-self-distributive", lhs, rhs)]
-    results.append(compare("tsd-is-nested-q", pair.op, lhs))
-    return results
+    if "tsd" in which:
+        yield "tsd", lhs(op, op), rhs(op, op)
+    if "tsd-tilde" in which:
+        yield "tsd-tilde", lhs(rev, rev), rhs(rev, rev)
+    if "coalgebra-morphism" in which:
+        # the ternary map intertwines the (iterated) comultiplications and counits
+        d3_cubed, eps3 = tensor_chain([d3, d3, d3]), tensor_chain([eps, eps, eps])
+        for label, m in (("", op), ("~", rev)):
+            yield f"coalgebra-morphism{label}", d3.compose(m), compose_chain([tensor_chain([m, m, m]), route, d3_cubed])
+            yield f"counit-compat{label}", eps.compose(m), eps3
+    if "reversibility" in which:
+        # undoing with the reversing partner recovers x . eps(y) eps(z), for
+        # both Sweedler leg orders and with the two maps exchanged;
+        # cocommutativity makes the two leg orders agree, and the check
+        # documents that
+        expand2, target = tensor_chain([one1, d2, d2]), tensor_chain([one1, eps, eps])
+        routes = (_REV_BINARY_DEF, _REV_BINARY_LEM) if pair.algebra.arity == 2 else (_REV_TERNARY_DEF, _REV_TERNARY_LEM)
+        for order, legs in zip(("def-legs", "proof-legs"), routes):
+            perm = SparseOperator.permutation(legs, dim, field)
+            for maps, outer, inner in (("rev.fwd", rev, op), ("fwd.rev", op, rev)):
+                yield f"reversibility[{maps},{order}]", compose_chain([lhs(outer, inner), perm, expand2]), target
+    if "mixed" in which:
+        # mixed distributivity, (x, y, z) reading: a(b(x,y,z), u, v) against b
+        # outside and a distributed inside
+        for name, a, b in (("mixed[fwd-outer]", op, rev), ("mixed[rev-outer]", rev, op)):
+            yield name, lhs(a, b), rhs(b, a)
+    if "q-self-distributive" in which:
+        q = build_q(pair.algebra)
+        nested = q.compose(tensor_chain([q, one1]))
+        swap = SparseOperator.permutation(_SD_MIDDLE_SWAP, dim, field)
+        expand_last = tensor_chain([one1, one1, d2])
+        yield "q-self-distributive", nested, compose_chain([q, tensor_chain([q, q]), swap, expand_last])
+        yield "tsd-is-nested-q", op, nested
 
 
 def check_tsd_properties(pair: TsdPair, which=None) -> ValidationReport:
@@ -269,20 +234,6 @@ def check_tsd_properties(pair: TsdPair, which=None) -> ValidationReport:
         if "q-self-distributive" in which and pair.algebra.arity != 2:
             raise AlgebraError("q-self-distributive requires an arity-2 algebra")
     report = ValidationReport()
-    if "tsd" in which:
-        report.add(_check_tsd(pair, use_tilde=False))
-    if "tsd-tilde" in which:
-        report.add(_check_tsd(pair, use_tilde=True))
-    if "coalgebra-morphism" in which:
-        for r in _check_coalgebra_morphism(pair):
-            report.add(r)
-    if "reversibility" in which:
-        for r in _check_reversibility(pair):
-            report.add(r)
-    if "mixed" in which:
-        for r in _check_mixed(pair):
-            report.add(r)
-    if "q-self-distributive" in which:
-        for r in _check_q_self_distributive(pair):
-            report.add(r)
+    for name, lhs, rhs in _identities(pair, which):
+        report.add(compare(name, lhs, rhs))
     return report

@@ -323,12 +323,42 @@ def test_unknown_subcommand_exits_2():
     assert code == 2
 
 
+BUNDLED_NAMES = ("abelian1", "abelian2", "heisenberg3", "so3", "sl2", "nambu4")
+
+
 def test_selftest_sweep():
     code, text = run(["selftest"])
     assert code == 0
     assert "validate sl2: PASS" in text
     assert "braiding nambu4: PASS" in text
     assert "markov sl2 trefoil: 5/5 trials matched the base trace" in text
+    # the whole text, phase by phase: validation, TSD sweeps, kit checks, Markov trial
+    expected = [f"validate {name}: PASS" for name in BUNDLED_NAMES]
+    expected += [f"tsd properties {name}: PASS" for name in BUNDLED_NAMES]
+    for name in BUNDLED_NAMES:
+        expected += [f"braiding {name}: PASS", f"framed braid relations {name}: PASS"]
+    expected.append("markov sl2 trefoil: 5/5 trials matched the base trace")
+    assert len(expected) == 25
+    assert text.splitlines() == expected
+
+
+def test_selftest_builds_one_pair_per_algebra(monkeypatch):
+    # the kit build and the Markov trial reuse the pair of the TSD sweep
+    import tsdlink.braiding as braiding_module
+    import tsdlink.cli as cli_module
+    from tsdlink.tsd import make_tsd_pair
+
+    built = []
+
+    def counting(spec):
+        built.append(spec.name)
+        return make_tsd_pair(spec)
+
+    monkeypatch.setattr(cli_module, "make_tsd_pair", counting)
+    monkeypatch.setattr(braiding_module, "make_tsd_pair", counting)
+    code, _ = run(["selftest"])
+    assert code == 0
+    assert built == list(BUNDLED_NAMES)
 
 
 if __name__ == "__main__":

@@ -22,3 +22,38 @@ def test_library_imports_only_the_standard_library():
                 continue
             outside += [(path.name, name) for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_private_top_level_name_is_used():
+    # a private top-level name (_x, not a dunder) of a tsdlink module is
+    # referenced by some statement other than the one that defines it
+    modules = sorted(SRC.glob("*.py"))
+    defined, refs = {}, []
+    for path in modules:
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[(path.name, name)] = stmt
+            used = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+            refs.append((stmt, used))
+    assert len(defined) > 10
+    unused = [
+        f"{module}:{name}"
+        for (module, name), stmt in sorted(defined.items())
+        if not any(name in used for other, used in refs if other is not stmt)
+    ]
+    assert unused == []

@@ -1,10 +1,11 @@
 import pytest
 
+import tsdlink.tsd as tsd_module
 from helpers import BUNDLED, algebra, same_columns, tsd_pair
 from tsdlink.algebra import AlgebraError, builtin_algebra
 from tsdlink.fields import RATIONALS, PrimeField
 from tsdlink.tensor import SparseOperator, iter_indices
-from tsdlink.tsd import TsdPair, build_q, build_T, build_T_tilde, check_tsd_properties, make_tsd_pair
+from tsdlink.tsd import INTERLEAVE_9, TsdPair, build_q, build_T, build_T_tilde, check_tsd_properties, make_tsd_pair
 
 F = RATIONALS
 
@@ -78,6 +79,27 @@ def test_check_selection_and_errors():
         check_tsd_properties(pair, ["q-self-distributive"])
     with pytest.raises(ValueError):
         check_tsd_properties(pair, ["frobenius"])
+
+
+@pytest.mark.parametrize("name", ["sl2", "nambu4"])
+def test_sweep_builds_each_structural_leaf_once(name, monkeypatch):
+    # every identity of one sweep shares the interleave and Delta_3 leaves
+    routes, deltas = [], []
+    permutation, delta_op = SparseOperator.permutation, tsd_module.delta_op
+
+    def counting_permutation(perm, dim, field):
+        routes.append(tuple(perm))
+        return permutation(perm, dim, field)
+
+    def counting_delta_op(n, dim, field):
+        deltas.append(n)
+        return delta_op(n, dim, field)
+
+    monkeypatch.setattr(SparseOperator, "permutation", staticmethod(counting_permutation))
+    monkeypatch.setattr(tsd_module, "delta_op", counting_delta_op)
+    assert check_tsd_properties(tsd_pair(name)).passed
+    assert routes.count(INTERLEAVE_9) == 1
+    assert deltas.count(3) == 1
 
 
 def test_counit_compatibility_reported():
