@@ -309,6 +309,8 @@ def load_algebra_file(path) -> AlgebraSpec:
         document = json.loads(text)
     except json.JSONDecodeError as e:
         raise AlgebraError(f"{path}: invalid JSON ({e})") from None
+    except ValueError:  # an integer with more digits than sys.get_int_max_str_digits()
+        raise AlgebraError(f"{path}: number too long: an integer has more digits than Python converts") from None
     return load_algebra(document)
 
 

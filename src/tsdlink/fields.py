@@ -23,18 +23,23 @@ class FieldError(ValueError):
     """Malformed scalar literal, zero denominator, bad modulus, or field mismatch."""
 
 
+# psi_13, the least strong pseudoprime to all of the prime bases 2..41 (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin, valid far beyond any sensible modulus here.
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
+    """Miller-Rabin with the prime bases 2..41, deterministic below psi_13; a larger n is refused."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise FieldError(f"modulus too large: primality is decided only below {_MILLER_RABIN_BOUND}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -45,6 +50,20 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _literal(text: str, kind: str) -> tuple:
+    """(numerator, denominator) of a literal "n" or "n/d"."""
+    m = _LITERAL.match(text.strip())
+    if not m:
+        raise FieldError(f"malformed {kind} literal: {text!r}")
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise FieldError(f"number too long in {kind} literal {text!r}") from None
+    if den == 0:
+        raise FieldError(f"zero denominator in literal: {text!r}")
+    return num, den
 
 
 class Field:
@@ -106,14 +125,7 @@ class RationalField(Field):
         return x.numerator if x.denominator == 1 else x
 
     def parse(self, text: str):
-        m = _LITERAL.match(text.strip())
-        if not m:
-            raise FieldError(f"malformed rational literal: {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
-        if den == 0:
-            raise FieldError(f"zero denominator in literal: {text!r}")
-        return self._canon(Fraction(num, den))
+        return self._canon(Fraction(*_literal(text, "rational")))
 
     def render(self, value) -> str:
         return str(value)
@@ -176,13 +188,7 @@ class PrimeField(Field):
             if modulus != self.p:
                 raise FieldError(f"literal {text!r} is for a different modulus")
             text = lit.strip()
-        m = _LITERAL.match(text)
-        if not m:
-            raise FieldError(f"malformed prime-field literal: {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
-        if den == 0:
-            raise FieldError(f"zero denominator in literal: {text!r}")
+        num, den = _literal(text, "prime-field")
         value = num % self.p
         if den != 1:
             value = self.div(value, den % self.p)

@@ -10,9 +10,9 @@ The trace of that operator is the link invariant; it is dim ** (cycles of
 the composite leg permutation of its steps), which is exact because every
 generator is filtered (see the tensor module), and it reads no column.
 
-Padded generators, their tables and leg permutations (built in the
-braiding module) and generator powers are memoized per kit, so repeated
-traces (the Markov harness) and the braiding checks never rebuild them.
+Generator powers and their leg permutations (built in the braiding
+module) are memoized per kit, so repeated traces (the Markov harness) and
+the braiding checks never rebuild them.
 The defining relations of the framed braid group are pairs of braid words
 (``braiding.relation``), each compared once per kit.
 """

@@ -4,8 +4,8 @@ import re
 import pytest
 
 from helpers import BUNDLED, algebra, kit, padded_reference, same_columns, tsd_pair
+from tsdlink import braiding as braiding_module
 from tsdlink.braiding import (
-    _padded,
     build_braiding,
     build_braiding_inverse,
     build_twist,
@@ -18,7 +18,7 @@ from tsdlink.braiding import (
 from tsdlink.braids import parse_braid_word
 from tsdlink.invariant import check_framed_braid_relations, trace_invariant
 from tsdlink.tensor import SparseOperator, compose_chain, iter_indices
-from tsdlink.tsd import TsdPair, build_T_tilde
+from tsdlink.tsd import TsdPair, build_T_tilde, compare
 
 # frozen by the dense oracle (see test_oracle.py); basis order (b0, h, e, f)
 SL2_BRAIDING_COLUMN_2030 = {(3, 0, 2, 0): 1, (0, 0, 1, 0): 1}
@@ -83,23 +83,37 @@ def test_far_commutation_guard():
         assert far.ok and far.detail == f"{columns} columns"
 
 
-def test_checks_share_padded_crossings():
+def test_checks_share_padded_crossings(monkeypatch):
     k = make_braiding_kit(tsd_pair("sl2"))  # fresh kit: empty cache
+    sides, padded = {}, []
+
+    def recording_compare(label, a, b):
+        sides[label] = a.steps + b.steps
+        return compare(label, a, b)
+
+    def recording_padded_power(kit, name, exponent, strand, n):
+        padded.append((name, exponent, padded_power(kit, name, exponent, strand, n)))
+        return padded[-1][2]
+
+    monkeypatch.setattr(braiding_module, "compare", recording_compare)
+    monkeypatch.setattr(braiding_module, "padded_power", recording_padded_power)
     check_braiding(k)
-    # the braid equation memoized these operators; the relations get the same objects
-    sigma = [k.cache[("pad", "braiding+", i, 3)] for i in (1, 2)]
     check_framed_braid_relations(k)
-    assert all(padded_power(k, "braiding", 1, i, 3) is s for i, s in zip((1, 2), sigma))
-    # the kit's braiding is one materialized step: its rows are the table, not a copy
-    assert k.cache[("table", "braiding+")] is k.braiding.steps[0][0]
+    # the braid equation and the relations cross through one rows object: the kit's braiding, not a copy
+    crossings = [
+        rows
+        for label, steps in sides.items()
+        if label != "braiding-invertible"
+        for rows, _, width, _ in steps
+        if width == k.dim**4
+    ]
+    assert crossings and all(rows is k.braiding.steps[0][0] for rows in crossings)
     trace_invariant(k, parse_braid_word("s1 s2^-1 t3^2", 3))
-    operators = {key: op for key, op in k.cache.items() if isinstance(op, SparseOperator)}
-    padded = {key: op for key, op in operators.items() if key[0] == "pad"}
-    assert padded and all(key in padded for key, op in operators.items() if op.in_rank > 4)
-    # each holds one step: a reference to the kit's one table of its generator
-    for (_, name, _, _), op in padded.items():
-        table = k.cache[("table", name)]
-        assert isinstance(table, tuple) and len(op.steps) == 1 and op.steps[0][0] is table
+    # each padded generator is one step that holds the table of its power
+    keys = {(name, e) for name, e, _ in padded}
+    assert keys == {("braiding", 1), ("braiding", -1), ("twist", 1), ("twist", -1), ("twist", 2)}
+    assert all(len(op.steps) == 1 and op.steps[0][0] is power(k, name, e).steps[0][0] for name, e, op in padded)
+    assert all(op.in_rank <= 4 for op in k.cache.values() if isinstance(op, SparseOperator))
 
 
 @pytest.mark.parametrize("name", ["sl2", "nambu4"])
@@ -124,16 +138,32 @@ def test_braid_equation_is_compared_once_per_kit(name, monkeypatch):
     assert [(r.ok, r.detail) for r in ybe] == [(r.ok, r.detail) for r in braid] == [(True, f"{k.dim**6} columns")]
 
 
+def test_relation_words_are_parsed_once_per_process(monkeypatch):
+    warm = make_braiding_kit(tsd_pair("sl2"))
+    check_braiding(warm)
+    check_framed_braid_relations(warm)
+    calls = []
+
+    def counting_parse(text, n):
+        calls.append(text)
+        return parse_braid_word(text, n)
+
+    monkeypatch.setattr(braiding_module, "parse_braid_word", counting_parse)
+    k = make_braiding_kit(tsd_pair("sl2"))  # fresh kit: empty cache
+    assert check_braiding(k).passed and check_framed_braid_relations(k).passed
+    assert calls == []
+
+
 def test_check_path_builds_no_graded_tables():
     k = make_braiding_kit(tsd_pair("so3"))  # fresh kit: empty cache
     check_braiding(k)
     check_framed_braid_relations(k)
-    builders = {key[1]: f for key, f in k.cache.items() if key[0] == "perm"}
-    assert set(builders) == {"braiding+", "twist+"}
+    builders = {key[1:]: f for key, f in k.cache.items() if key[0] == "perm"}
+    assert set(builders) == {("braiding", 1), ("braiding", -1), ("twist", 1), ("twist", -1)}
     assert all(f.cache_info().currsize == 0 for f in builders.values())
     trace_invariant(k, parse_braid_word("s1 s1", 2))
-    assert builders["braiding+"].cache_info().currsize == 1
-    assert builders["twist+"].cache_info().currsize == 0
+    assert [key for key, f in builders.items() if f.cache_info().currsize] == [("braiding", 1)]
+    assert builders[("braiding", 1)].cache_info().currsize == 1
 
 
 def _tampered_braiding(k, tamper):
@@ -187,7 +217,7 @@ def test_padded_generators_match_tensor_padding(name, n):
     for strand in range(1, n + 1):
         for exp in (1, -1, 2):
             base = power(k, "twist", exp)
-            op = _padded(k, f"tw{exp}", base, strand, n)
+            op = padded_power(k, "twist", exp, strand, n)
             assert same_columns(padded_reference(k, base, strand, n), op), (strand, exp)
 
 

@@ -78,13 +78,22 @@ def _bad_modulus(doc):
     doc["brackets"][0]["value"][0]["coeff"] = "1 mod x"
 
 
+PSI_12 = 399_165_290_221 * 798_330_580_441  # a strong pseudoprime to each prime base 2..37
+PSI_13 = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to each prime base 2..41
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
         (lambda doc: doc.update(arity=2.0), "arity must be 2 or 3, got 2.0"),
         (_bad_modulus, "malformed modulus in prime-field literal: '1 mod x'"),
+        (lambda doc: doc.update(field={"kind": "prime", "p": PSI_12}), f"modulus is not prime: {PSI_12}"),
+        (
+            lambda doc: doc.update(field={"kind": "prime", "p": PSI_13}),
+            f"modulus too large: primality is decided only below {PSI_13}",
+        ),
     ],
-    ids=["arity-float", "coeff-bad-modulus"],
+    ids=["arity-float", "coeff-bad-modulus", "psi12-modulus", "modulus-past-psi13"],
 )
 def test_malformed_numbers_are_usage_errors(edit, message, tmp_path, capsys):
     from tsdlink.algebra import builtin_algebra, dump_algebra
@@ -118,6 +127,19 @@ def test_check_all_bundled_matches_fixture():
         PYTHONPATH=src python tests/test_cli.py > tests/fixtures/check_all.txt
     """
     assert check_all_text() == CHECK_ALL_FIXTURE.read_text()
+
+
+@pytest.mark.parametrize("name", ["sl2", "nambu4", "so3", "heisenberg3"])
+def test_check_all_over_f10007_matches_the_rational_fixture(name, tmp_path):
+    # the word-pair checks over F_10007: each line and the exit code read as they do over Q
+    from tsdlink.algebra import builtin_algebra, dump_algebra
+    from tsdlink.fields import PrimeField
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dump_algebra(builtin_algebra(name, field=PrimeField(10007)))))
+    block = CHECK_ALL_FIXTURE.read_text().split(f"$ tsdlink check {name} --property all\n")[1]
+    expected, code = block.split("exit: ", 1)
+    assert run(["check", str(path), "--property", "all"]) == (int(code.split("\n", 1)[0]), expected)
 
 
 def test_check_ybe_nambu4():
@@ -186,6 +208,7 @@ def test_invariant_cap_error():
 
 
 NINES_4300, NINES_5000 = "9" * 4300, "9" * 5000
+INT_PAST_LIMIT = "an integer has more digits than Python converts"
 TWO_4300_DIGIT_TWISTS = f"t1^{NINES_4300} t1^{NINES_4300}"  # their framing sum has 4,301 digits
 
 
@@ -239,6 +262,35 @@ def test_cap_error_past_the_int_str_limit_is_one_line(argv, message, capsys):
     code, text = run(argv)
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+LONG = "LONG"  # stands for a 5,001-digit JSON integer, which json.dumps cannot write
+
+
+def _long_coeff(doc):
+    doc["brackets"][0]["value"][0]["coeff"] = NINES_5000
+
+
+@pytest.mark.parametrize("command", [["validate"], ["check", "--property", "tsd"]], ids=["validate", "check"])
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc.update(field={"kind": "prime", "p": LONG}), "{path}: number too long: " + INT_PAST_LIMIT),
+        (lambda doc: doc.update(dim=LONG), "{path}: number too long: " + INT_PAST_LIMIT),
+        (_long_coeff, f"number too long in rational literal '{NINES_5000}'"),
+    ],
+    ids=["modulus", "dim", "coeff"],
+)
+def test_algebra_number_past_the_int_str_limit_is_one_line(command, edit, message, tmp_path, capsys):
+    from tsdlink.algebra import builtin_algebra, dump_algebra
+
+    doc = dump_algebra(builtin_algebra("sl2"))
+    edit(doc)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace(f'"{LONG}"', NINES_5000 + "9"))
+    code, text = run([command[0], str(path), *command[1:]])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 @pytest.mark.parametrize("command", [["invariant"], ["markov", "--trials", "1"]], ids=["invariant", "markov"])

@@ -48,6 +48,25 @@ def test_parse_errors():
         PrimeField(7).parse("1 mod 11")
 
 
+def test_prime_moduli_are_decided_exactly():
+    # Miller-Rabin with the prime bases 2..41 is deterministic below psi_13; psi_12 fools the bases 2..37
+    psi_12, psi_13 = 399_165_290_221 * 798_330_580_441, 3_317_044_064_679_887_385_961_981
+    assert psi_12 == 318_665_857_834_031_151_167_461
+    for p in (2, 7, 10007, 2**61 - 1, 2**64 - 59):
+        assert PrimeField(p).p == p
+    with pytest.raises(FieldError, match=f"^modulus is not prime: {psi_12}$"):
+        PrimeField(psi_12)
+    for p in (psi_13, 2**127 - 1):
+        with pytest.raises(FieldError, match=f"^modulus too large: primality is decided only below {psi_13}$"):
+            PrimeField(p)
+
+
+def test_number_past_the_int_str_limit_in_a_literal():
+    for field, kind in ((RATIONALS, "rational"), (PrimeField(7), "prime-field")):
+        with pytest.raises(FieldError, match=f"^number too long in {kind} literal '1/9{{5000}}'$"):
+            field.parse("1/" + "9" * 5000)
+
+
 def test_arith_examples():
     assert RATIONALS.add(RATIONALS.parse("1/2"), RATIONALS.parse("1/3")) == Fraction(5, 6)
     f7 = PrimeField(7)

@@ -170,12 +170,11 @@ def test_framed_braid_relations_on_five_strands(name):
 @pytest.mark.parametrize("name", ["sl2", "nambu4"])
 def test_disjoint_leg_relations_prove_without_a_key(name, n, monkeypatch):
     # the kit's generator tables count the keys each relation runs through them
-    counted = dataclasses.replace(kit(name), cache={})
-    tables = []
-    for label, base in (("braiding+", counted.braiding), ("twist+", counted.twist)):
-        counted.cache[("table", label)] = CountingRows(base.materialized().steps[0][0])
-        counted.cache[("perm", label)] = None
-        tables.append(counted.cache[("table", label)])
+    k = kit(name)
+    tables = [CountingRows(base.materialized().steps[0][0]) for base in (k.braiding, k.twist)]
+    # one-step generators over the counting tables
+    braiding, twist = (SparseOperator.padded(t, None, legs, 0, legs, k.dim, k.field) for t, legs in zip(tables, (4, 2)))
+    counted = dataclasses.replace(k, braiding=braiding, twist=twist, cache={})
     visited = {}
 
     def counting_compare(label, a, b):
@@ -225,7 +224,6 @@ def test_tampered_twist_witness_on_non_adjacent_strands():
 def test_normalize_preserves_represented_operator():
     # letterwise operator of the raw word == operator of its normal form;
     # this is the oracle that pins the twist-push convention
-    from tsdlink.braiding import _padded
     from tsdlink.tensor import compose_chain
 
     k = kit("sl2")
@@ -237,7 +235,7 @@ def test_normalize_preserves_represented_operator():
                 gen = padded_power(k, "braiding", 1 if exp > 0 else -1, index, n)
                 ops.extend([gen] * abs(exp))
             else:
-                ops.append(_padded(k, f"tw{exp}", power(k, "twist", exp), index, n))
+                ops.append(padded_power(k, "twist", exp, index, n))
         letterwise = compose_chain(ops)
         assert letterwise.diff_witness(representation(k, normalize(word))) is None, text
 
