@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from importlib import resources
 from itertools import combinations, product
 from pathlib import Path
 
@@ -335,8 +336,14 @@ def dump_algebra(spec: AlgebraSpec) -> dict:
     }
 
 
+def bundled_document(filename: str) -> dict | None:
+    """The parsed bundled document ``algebras/<filename>``, or None when there is none."""
+    path = resources.files("tsdlink").joinpath("algebras").joinpath(filename)
+    return json.loads(path.read_text()) if path.is_file() else None
+
+
 def builtin_algebra(name: str, dim: int | None = None, arity: int = 2, field: Field | None = None) -> AlgebraSpec:
-    """Named example algebras.
+    """Named example algebras over ``field`` (ℚ by default); all but abelian are the bundled documents.
 
     abelian(dim, arity): zero bracket on k^dim.
     heisenberg3: [e1,e2] = e3.
@@ -345,40 +352,12 @@ def builtin_algebra(name: str, dim: int | None = None, arity: int = 2, field: Fi
     nambu4: [e_a,e_b,e_c] = epsilon_{abcd} e_d on k^4.
     """
     field = field or RATIONALS
-    one = field.one
-    neg = field.neg
-    two = field.from_int(2)
     if name == "abelian":
         if dim is None or dim < 1 or arity not in (2, 3):
             raise AlgebraError("abelian needs dim >= 1 and arity in {2, 3}")
         return AlgebraSpec(f"abelian{dim}", arity, dim, field, tuple(f"e{i}" for i in range(1, dim + 1)), {})
     if dim is not None:
         raise AlgebraError(f"{name} does not take a dimension")
-    if name == "heisenberg3":
-        return AlgebraSpec("heisenberg3", 2, 3, field, ("e1", "e2", "e3"), {(1, 2): {3: one}})
-    if name == "so3":
-        return AlgebraSpec(
-            "so3",
-            2,
-            3,
-            field,
-            ("e1", "e2", "e3"),
-            {(1, 2): {3: one}, (2, 3): {1: one}, (1, 3): {2: neg(one)}},
-        )
-    if name == "sl2":
-        return AlgebraSpec(
-            "sl2",
-            2,
-            3,
-            field,
-            ("h", "e", "f"),
-            {(1, 2): {2: two}, (1, 3): {3: neg(two)}, (2, 3): {1: one}},
-        )
-    if name == "nambu4":
-        structure: dict[tuple[int, ...], dict[int, object]] = {}
-        for key in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-            (l,) = set(range(1, 5)) - set(key)
-            _, sign = _sort_with_sign(key + (l,))
-            structure[key] = {l: one if sign == 1 else neg(one)}
-        return AlgebraSpec("nambu4", 3, 4, field, ("e1", "e2", "e3", "e4"), structure)
-    raise AlgebraError(f"unknown builtin algebra {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    if name not in BUILTIN_NAMES:
+        raise AlgebraError(f"unknown builtin algebra {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+    return load_algebra({**bundled_document(f"{name}.json"), "field": field.descriptor()})

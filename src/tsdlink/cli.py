@@ -2,8 +2,10 @@
 
 Subcommands: validate, check, invariant, markov, selftest.  Algebra
 arguments are JSON files; a bare name (sl2, so3, heisenberg3, nambu4,
-abelian1, abelian2) falls back to the bundled documents.  Exit codes:
-0 success / all checks pass, 1 check failure, 2 usage or input error.
+abelian1, abelian2) falls back to the bundled documents.  `selftest` is
+`check --property all` on each bundled document, plus a Markov trial of
+the sl2 trefoil.  Exit codes: 0 success / all checks pass, 1 check
+failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import json
 import re
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 from .algebra import (
     AlgebraError,
     AlgebraSpec,
     ValidationReport,
-    builtin_algebra,
+    bundled_document,
     load_algebra,
     load_algebra_file,
     validate_algebra,
@@ -36,25 +37,23 @@ from .invariant import (
 )
 from .tsd import check_tsd_properties, make_tsd_pair
 
-CHECK_PROPERTIES = (
-    "jacobi",
-    "filippov",
-    "tsd",
-    "coalgebra",
-    "reversibility",
-    "mixed",
-    "ybe",
-    "slide",
-    "fb-relations",
-    "all",
-)
-
-_TSD_PROPERTY_MAP = {
-    "tsd": ("tsd", "tsd-tilde"),
-    "coalgebra": ("coalgebra-morphism",),
-    "reversibility": ("reversibility",),
-    "mixed": ("mixed",),
+# the one check family a narrower property runs, and the TSD checks it names
+# or the braiding lines it keeps (None: the whole family)
+_NARROW = {
+    "jacobi": ("validate", None),
+    "filippov": ("validate", None),
+    "tsd": ("tsd properties", ("tsd", "tsd-tilde")),
+    "coalgebra": ("tsd properties", ("coalgebra-morphism",)),
+    "reversibility": ("tsd properties", ("reversibility",)),
+    "mixed": ("tsd properties", ("mixed",)),
+    "ybe": ("braiding", ("ybe", "braiding-invertible", "twist-invertible", "filtration", "far-commutation")),
+    "slide": ("braiding", ("slide-under", "slide-over")),
+    "fb-relations": ("framed braid relations", None),
 }
+CHECK_PROPERTIES = (*_NARROW, "all")
+
+# the bundled documents, in the order selftest reports them (by dimension)
+SELFTEST_ALGEBRAS = ("abelian1", "abelian2", "heisenberg3", "so3", "sl2", "nambu4")
 
 
 class CliError(Exception):
@@ -67,10 +66,9 @@ def _resolve_algebra(path_text: str) -> AlgebraSpec:
     path = Path(path_text)
     if path.exists():
         return load_algebra_file(path)
-    name = path.name if path.suffix else f"{path.name}.json"
-    bundled = resources.files("tsdlink").joinpath("algebras").joinpath(name)
-    if bundled.is_file():
-        return load_algebra(json.loads(bundled.read_text()))
+    document = bundled_document(path.name if path.suffix else f"{path.name}.json")
+    if document is not None:
+        return load_algebra(document)
     raise CliError(f"cannot read algebra {path_text!r}: no such file or bundled algebra")
 
 
@@ -133,48 +131,35 @@ def _cmd_validate(args, out) -> int:
     return _emit(args, "validate", report.passed, report.lines(), _failure_payload(report), None, started, out)
 
 
+def _sweep(spec: AlgebraSpec, prop: str) -> tuple[list[tuple[str, ValidationReport]], BraidingKit | None]:
+    """(family, report) for each check family that prop selects, in report order; and the kit, if built."""
+    family, names = _NARROW.get(prop, ("all", None))
+    reports = [("validate", validate_algebra(spec))] if family in ("validate", "all") else []
+    if family == "validate":
+        return reports, None
+    pair = make_tsd_pair(spec)  # the TSD checks and the kit build share its T and T~ rows
+    if family in ("tsd properties", "all"):
+        reports.append(("tsd properties", check_tsd_properties(pair, names)))
+    if family == "tsd properties":
+        return reports, None
+    kit = make_braiding_kit(pair)
+    if family in ("braiding", "all"):
+        report = ValidationReport([r for r in check_braiding(kit).results if not names or r.name in names])
+        reports.append(("braiding", report))
+    if family in ("framed braid relations", "all"):
+        reports.append(("framed braid relations", check_framed_braid_relations(kit)))
+    return reports, kit
+
+
 def _cmd_check(args, out) -> int:
     started = time.monotonic()
     spec = _resolve_algebra(args.algebra)
-    prop = args.property
-    report = ValidationReport()
-
-    if prop in ("jacobi", "filippov", "all"):
-        if prop == "jacobi" and spec.arity != 2:
-            raise CliError("jacobi applies to arity-2 algebras")
-        if prop == "filippov" and spec.arity != 3:
-            raise CliError("filippov applies to arity-3 algebras")
-        for r in validate_algebra(spec).results:
-            report.add(r)
-
-    tsd_checks: set[str] = set()
-    for key, names in _TSD_PROPERTY_MAP.items():
-        if prop in (key, "all"):
-            tsd_checks.update(names)
-    if prop == "all" and spec.arity == 2:
-        tsd_checks.add("q-self-distributive")
-    # one pair per command: the TSD checks and the kit build share its T and T~ rows
-    needs_kit = prop in ("ybe", "slide", "fb-relations", "all")
-    pair = make_tsd_pair(spec) if tsd_checks or needs_kit else None
-    if tsd_checks:
-        for r in check_tsd_properties(pair, sorted(tsd_checks)).results:
-            report.add(r)
-
-    if needs_kit:
-        kit = make_braiding_kit(pair)
-        if prop in ("ybe", "slide", "all"):
-            braiding_report = check_braiding(kit)
-            keep = {
-                "ybe": ("ybe", "braiding-invertible", "twist-invertible", "filtration", "far-commutation"),
-                "slide": ("slide-under", "slide-over"),
-            }
-            for r in braiding_report.results:
-                if prop == "all" or r.name in keep[prop]:
-                    report.add(r)
-        if prop in ("fb-relations", "all"):
-            for r in check_framed_braid_relations(kit).results:
-                report.add(r)
-
+    if args.property == "jacobi" and spec.arity != 2:
+        raise CliError("jacobi applies to arity-2 algebras")
+    if args.property == "filippov" and spec.arity != 3:
+        raise CliError("filippov applies to arity-3 algebras")
+    reports, _ = _sweep(spec, args.property)
+    report = ValidationReport([r for _, part in reports for r in part.results])
     return _emit(args, "check", report.passed, report.lines(), _failure_payload(report), None, started, out)
 
 
@@ -222,42 +207,24 @@ def _cmd_markov(args, out) -> int:
 
 def _cmd_selftest(args, out) -> int:
     started = time.monotonic()
-    failures: list[dict] = []
+    rows = []  # ((phase, n), label, report): every validation, every TSD sweep, then the kit families per algebra
+    # Largest algebra first: nambu4's TSD sweep, the peak of selftest, then runs before the smaller
+    # kits fill the process-wide key codecs (tensor._codec).  No kit outlives its sweep.
+    for n, name in reversed(list(enumerate(SELFTEST_ALGEBRAS))):
+        reports, kit = _sweep(_resolve_algebra(name), "all")
+        rows += [((min(i, 2), n), f"{family} {name}", report) for i, (family, report) in enumerate(reports)]
+        if name == "sl2":
+            trefoil = markov_report(kit, parse_braid_word("s1 s1 s1", 2), trials=5, seed=7, moves=4)
+        del kit
     lines: list[str] = []
-
-    def run(label: str, report: ValidationReport) -> None:
-        status = "PASS" if report.passed else "FAIL"
-        lines.append(f"{label}: {status}")
-        for r in report.failures:
-            lines.append(f"  {r}")
-        failures.extend(_failure_payload(report))
-
-    bundled = [
-        builtin_algebra("abelian", dim=1),
-        builtin_algebra("abelian", dim=2),
-        builtin_algebra("heisenberg3"),
-        builtin_algebra("so3"),
-        builtin_algebra("sl2"),
-        builtin_algebra("nambu4"),
-    ]
-    for spec in bundled:
-        run(f"validate {spec.name}", validate_algebra(spec))
-    # one pair per algebra: the TSD checks and the kit build share its T and T~ rows
-    pairs = [make_tsd_pair(spec) for spec in bundled]
-    for pair in pairs:
-        run(f"tsd properties {pair.algebra.name}", check_tsd_properties(pair))
-    for pair in pairs:
-        kit = make_braiding_kit(pair)
-        run(f"braiding {kit.algebra.name}", check_braiding(kit))
-        run(f"framed braid relations {kit.algebra.name}", check_framed_braid_relations(kit))
-        if kit.algebra.name == "sl2":
-            trefoil_kit = kit
-    report = markov_report(trefoil_kit, parse_braid_word("s1 s1 s1", 2), trials=5, seed=7, moves=4)
-    lines.append(f"markov sl2 trefoil: {report.verdict()}")
-    if not report.all_equal:
+    failures: list[dict] = []
+    for _, label, report in sorted(rows, key=lambda row: row[0]):
+        lines += [f"{label}: {'PASS' if report.passed else 'FAIL'}", *(f"  {r}" for r in report.failures)]
+        failures += _failure_payload(report)
+    lines.append(f"markov sl2 trefoil: {trefoil.verdict()}")
+    if not trefoil.all_equal:
         failures.append({"check": "markov", "witness": "sl2 trefoil", "residual": "trace drift"})
-    passed = not failures
-    return _emit(args, "selftest", passed, lines, failures, None, started, out)
+    return _emit(args, "selftest", not failures, lines, failures, None, started, out)
 
 
 def build_parser() -> argparse.ArgumentParser:

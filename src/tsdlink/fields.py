@@ -184,6 +184,8 @@ class PrimeField(Field):
             try:
                 modulus = int(mod)
             except ValueError:
+                if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", mod):  # more digits than sys.get_int_max_str_digits()
+                    raise FieldError(f"number too long in prime-field literal {text!r}") from None
                 raise FieldError(f"malformed modulus in prime-field literal: {text!r}") from None
             if modulus != self.p:
                 raise FieldError(f"literal {text!r} is for a different modulus")

@@ -17,7 +17,7 @@ from tsdlink.algebra import (
     load_algebra,
     validate_algebra,
 )
-from tsdlink.fields import PrimeField
+from tsdlink.fields import RATIONALS, PrimeField
 
 
 def _eps(perm):
@@ -279,17 +279,41 @@ def test_dump_load_round_trip_all_builtins():
 
 
 def test_bundled_json_documents():
+    # expected brackets written out here, so that a typo in a bundled document fails
     from importlib import resources
 
     root = resources.files("tsdlink").joinpath("algebras")
-    sl2 = load_algebra(json.loads(root.joinpath("sl2.json").read_text()))
-    assert (sl2.arity, sl2.dim, sl2.basis) == (2, 3, ("h", "e", "f"))
-    nambu4 = load_algebra(json.loads(root.joinpath("nambu4.json").read_text()))
-    assert (nambu4.arity, nambu4.dim) == (3, 4)
-    for name, dim in BUNDLED:
-        fname = f"{name}{dim}" if name == "abelian" else name
-        loaded = load_algebra(json.loads(root.joinpath(f"{fname}.json").read_text()))
-        assert loaded.structure == algebra(name, dim).structure
+    nambu4 = {}
+    for key in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
+        (d,) = set(range(1, 5)) - set(key)
+        nambu4[key] = {d: _eps(key + (d,))}
+    expected = {
+        "abelian1": (2, ("e1",), {}),
+        "abelian2": (2, ("e1", "e2"), {}),
+        "heisenberg3": (2, ("e1", "e2", "e3"), {(1, 2): {3: 1}}),
+        "so3": (2, ("e1", "e2", "e3"), {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {1: 1}}),
+        "sl2": (2, ("h", "e", "f"), {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}),
+        "nambu4": (3, ("e1", "e2", "e3", "e4"), nambu4),
+    }
+    assert nambu4 == {(1, 2, 3): {4: 1}, (1, 2, 4): {3: -1}, (1, 3, 4): {2: 1}, (2, 3, 4): {1: -1}}
+    for name, (arity, basis, structure) in expected.items():
+        loaded = load_algebra(json.loads(root.joinpath(f"{name}.json").read_text()))
+        assert (loaded.name, loaded.arity, loaded.dim, loaded.basis) == (name, arity, len(basis), basis)
+        assert (loaded.field, loaded.structure) == (RATIONALS, structure), name
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 7, 10007], ids=["Q", "F2", "F3", "F7", "F10007"])
+def test_named_builtins_are_canonical_over_every_field(p):
+    # no stored coefficient is zero, so a dump loads back to the same structure
+    field = RATIONALS if p is None else PrimeField(p)
+    for name in ("heisenberg3", "so3", "sl2", "nambu4"):
+        spec = builtin_algebra(name, field=field)
+        assert spec.field == field
+        assert all(c != field.zero for coeffs in spec.structure.values() for c in coeffs.values()), name
+        assert all(spec.structure.values()), name
+        assert load_algebra(json.loads(json.dumps(dump_algebra(spec)))).structure == spec.structure, name
+    if p == 2:  # [h,e] = 2e and [h,f] = -2f vanish
+        assert builtin_algebra("sl2", field=field).structure == {(2, 3): {1: 1}}
 
 
 def test_prime_field_algebra_validates():

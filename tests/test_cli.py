@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tsdlink.cli import run_cli
+from tsdlink.cli import CHECK_PROPERTIES, run_cli
 from tsdlink.fields import RATIONALS
 
 
@@ -78,6 +78,11 @@ def _bad_modulus(doc):
     doc["brackets"][0]["value"][0]["coeff"] = "1 mod x"
 
 
+def _long_modulus(doc):
+    doc["field"] = {"kind": "prime", "p": 7}
+    doc["brackets"][0]["value"][0]["coeff"] = "1 mod " + "7" * 5000
+
+
 PSI_12 = 399_165_290_221 * 798_330_580_441  # a strong pseudoprime to each prime base 2..37
 PSI_13 = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to each prime base 2..41
 
@@ -87,13 +92,14 @@ PSI_13 = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to ea
     [
         (lambda doc: doc.update(arity=2.0), "arity must be 2 or 3, got 2.0"),
         (_bad_modulus, "malformed modulus in prime-field literal: '1 mod x'"),
+        (_long_modulus, f"number too long in prime-field literal '1 mod {'7' * 5000}'"),
         (lambda doc: doc.update(field={"kind": "prime", "p": PSI_12}), f"modulus is not prime: {PSI_12}"),
         (
             lambda doc: doc.update(field={"kind": "prime", "p": PSI_13}),
             f"modulus too large: primality is decided only below {PSI_13}",
         ),
     ],
-    ids=["arity-float", "coeff-bad-modulus", "psi12-modulus", "modulus-past-psi13"],
+    ids=["arity-float", "coeff-bad-modulus", "coeff-long-modulus", "psi12-modulus", "modulus-past-psi13"],
 )
 def test_malformed_numbers_are_usage_errors(edit, message, tmp_path, capsys):
     from tsdlink.algebra import builtin_algebra, dump_algebra
@@ -140,6 +146,38 @@ def test_check_all_over_f10007_matches_the_rational_fixture(name, tmp_path):
     block = CHECK_ALL_FIXTURE.read_text().split(f"$ tsdlink check {name} --property all\n")[1]
     expected, code = block.split("exit: ", 1)
     assert run(["check", str(path), "--property", "all"]) == (int(code.split("\n", 1)[0]), expected)
+
+
+# the check lines (name before any "[") that each narrower property keeps of `check --property all`
+PROPERTY_LINES = {
+    "jacobi": {"antisymmetry", "jacobi"},
+    "filippov": {"skew-symmetry", "filippov"},
+    "tsd": {"tsd", "tsd-tilde"},
+    "coalgebra": {"coalgebra-morphism", "counit-compat", "coalgebra-morphism~", "counit-compat~"},
+    "reversibility": {"reversibility"},
+    "mixed": {"mixed"},
+    "ybe": {"ybe", "braiding-invertible", "twist-invertible", "filtration", "far-commutation"},
+    "slide": {"slide-under", "slide-over"},
+    "fb-relations": {"braid-relation", "twist-commute", "twist-push"},
+}
+
+
+@pytest.mark.parametrize("name", ["sl2", "nambu4"])
+def test_every_property_prints_its_lines_of_the_fixture(name, capsys):
+    block = CHECK_ALL_FIXTURE.read_text().split(f"$ tsdlink check {name} --property all\n")[1]
+    fixture = block.split("exit: ", 1)[0].splitlines()
+    assert set(PROPERTY_LINES) | {"all"} == set(CHECK_PROPERTIES)
+    wrong_arity = "filippov" if name == "sl2" else "jacobi"
+    for prop in PROPERTY_LINES:  # "all" prints the whole block: test_check_all_bundled_matches_fixture
+        code, text = run(["check", name, "--property", prop])
+        err = capsys.readouterr().err
+        if prop == wrong_arity:
+            assert (code, text, err.count("\n")) == (2, "", 1), prop
+            assert err == f"error: {prop} applies to arity-{3 if prop == 'filippov' else 2} algebras\n"
+            continue
+        expected = [line for line in fixture if line.split(":")[0].split("[")[0] in PROPERTY_LINES[prop]]
+        assert expected, prop
+        assert (code, text.splitlines(), err) == (0, expected, ""), prop
 
 
 def test_check_ybe_nambu4():
@@ -395,7 +433,7 @@ def test_selftest_sweep():
 
 
 def test_selftest_builds_one_pair_per_algebra(monkeypatch):
-    # the kit build and the Markov trial reuse the pair of the TSD sweep
+    # the kit build and the Markov trial reuse the pair of the TSD sweep; nambu4, the largest, is swept first
     import tsdlink.braiding as braiding_module
     import tsdlink.cli as cli_module
     from tsdlink.tsd import make_tsd_pair
@@ -410,7 +448,7 @@ def test_selftest_builds_one_pair_per_algebra(monkeypatch):
     monkeypatch.setattr(braiding_module, "make_tsd_pair", counting)
     code, _ = run(["selftest"])
     assert code == 0
-    assert built == list(BUNDLED_NAMES)
+    assert built == list(reversed(BUNDLED_NAMES))
 
 
 if __name__ == "__main__":

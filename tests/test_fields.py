@@ -67,6 +67,15 @@ def test_number_past_the_int_str_limit_in_a_literal():
             field.parse("1/" + "9" * 5000)
 
 
+def test_modulus_past_the_int_str_limit_in_a_prime_field_literal():
+    # the " mod " suffix is an integer too long to convert, not a malformed one
+    text = "1 mod " + "7" * 5000
+    with pytest.raises(FieldError, match=f"^number too long in prime-field literal '1 mod 7{{5000}}'$"):
+        PrimeField(7).parse(text)
+    with pytest.raises(FieldError, match="^malformed modulus in prime-field literal: '1 mod x'$"):
+        PrimeField(7).parse("1 mod x")
+
+
 def test_arith_examples():
     assert RATIONALS.add(RATIONALS.parse("1/2"), RATIONALS.parse("1/3")) == Fraction(5, 6)
     f7 = PrimeField(7)

@@ -2,6 +2,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import tsdlink
 
 SRC = Path(tsdlink.__file__).parent
@@ -57,3 +59,19 @@ def test_every_private_top_level_name_is_used():
         if not any(name in used for other, used in refs if other is not stmt)
     ]
     assert unused == []
+
+
+def test_selftest_runs_every_bundled_document_and_the_package_ships_them():
+    # builtin_algebra and bare CLI names read algebras/*.json, so an install must carry them
+    from fnmatch import fnmatch
+
+    from tsdlink.cli import SELFTEST_ALGEBRAS
+
+    tomllib = pytest.importorskip("tomllib")
+    documents = sorted(SRC.glob("algebras/*.json"))
+    assert sorted(SELFTEST_ALGEBRAS) == sorted(path.stem for path in documents)
+    assert len(set(SELFTEST_ALGEBRAS)) == len(SELFTEST_ALGEBRAS)
+    pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())
+    patterns = pyproject["tool"]["setuptools"]["package-data"]["tsdlink"]
+    for path in documents:
+        assert any(fnmatch(path.relative_to(SRC).as_posix(), pattern) for pattern in patterns), path
