@@ -38,30 +38,13 @@ from .tensor import (
     compose_chain,
     degree_raise,
     delta_op,
+    layout,
     leg_permutation,
     tensor_chain,
 )
 from .tsd import TsdPair, compare, make_tsd_pair
 
-# (x, y, z1, z2, z3, w1, w2, w3) -> (z1, w1, x, z2, w2, y, z3, w3):
-# first legs of the last two inputs exit in front; remaining legs pair up
-# with x and y for the two ternary-map factors.
-_BRAIDING_ROUTE = (2, 5, 0, 3, 6, 1, 4, 7)
-
-# (x1, x2, x3, y1, y2, y3, z, w) -> (z, y2, x2, w, y3, x3, x1, y1):
-# binary-path inverse; each reversing-map factor sees (old-pair member,
-# y-leg, x-leg), outer legs reversed.
-_BRAIDING_INV_ROUTE_BIN = (6, 2, 5, 7, 1, 4, 0, 3)
-
-# (x1, x2, x3, y1, y2, y3, z, w) -> (z, x2, y2, w, x3, y3, x1, y1):
-# ternary-path inverse; outer legs in straight order.
-_BRAIDING_INV_ROUTE_TER = (6, 1, 4, 7, 2, 5, 0, 3)
-
-# (x1, x2, x3, y1, y2, y3) -> (x1, x2, y2, y1, x3, y3): twist layout.
-_TWIST_ROUTE = (0, 1, 4, 3, 2, 5)
-
-# (x1, x2, x3, y1, y2, y3) -> (x1, y2, x2, y1, y3, x3): binary twist inverse.
-_TWIST_INV_ROUTE_BIN = (0, 2, 5, 3, 1, 4)
+_TWIST_ROUTE = "x1 x2 x3 y1 y2 y3 -> x1 x2 y2 y1 x3 y3"
 
 
 @dataclass(eq=False)
@@ -87,20 +70,29 @@ class BraidingKit:
         return self.pair.field
 
 
-def _routed(pair: TsdPair, outer: list, route: tuple, inner: list) -> SparseOperator:
-    """(outer factors) . route . (inner factors), materialized."""
-    perm = SparseOperator.permutation(route, pair.dim, pair.field)
+def _routed(pair: TsdPair, outer: list, route: str, inner: list) -> SparseOperator:
+    """(outer factors) . the leg layout route . (inner factors), materialized."""
+    perm = SparseOperator.permutation(layout(route), pair.dim, pair.field)
     return compose_chain([tensor_chain(outer), perm, tensor_chain(inner)]).materialized()
 
 
 def build_braiding(pair: TsdPair) -> SparseOperator:
     one1, d3 = SparseOperator.identity(1, pair.dim, pair.field), delta_op(3, pair.dim, pair.field)
-    return _routed(pair, [one1, one1, pair.op, pair.op], _BRAIDING_ROUTE, [one1, one1, d3, d3])
+    # the first legs of the last two inputs exit in front; the others pair up
+    # with x and y for the two ternary-map factors
+    route = "x y z1 z2 z3 w1 w2 w3 -> z1 w1 x z2 w2 y z3 w3"
+    return _routed(pair, [one1, one1, pair.op, pair.op], route, [one1, one1, d3, d3])
 
 
 def build_braiding_inverse(pair: TsdPair) -> SparseOperator:
     one1, d3 = SparseOperator.identity(1, pair.dim, pair.field), delta_op(3, pair.dim, pair.field)
-    route = _BRAIDING_INV_ROUTE_BIN if pair.algebra.arity == 2 else _BRAIDING_INV_ROUTE_TER
+    # the outer legs in reversed order on the binary path, straight on the
+    # ternary path (see the tsd module docstring)
+    route = (
+        "x1 x2 x3 y1 y2 y3 z w -> z y2 x2 w y3 x3 x1 y1"
+        if pair.algebra.arity == 2
+        else "x1 x2 x3 y1 y2 y3 z w -> z x2 y2 w x3 y3 x1 y1"
+    )
     op = _routed(pair, [pair.rev, pair.rev, one1, one1], route, [d3, d3, one1, one1])
     _assert_inverse("braiding", build_braiding(pair), op)
     return op
@@ -115,7 +107,7 @@ def build_twist_inverse(pair: TsdPair) -> SparseOperator:
     d3 = delta_op(3, pair.dim, pair.field)
     # binary path: its own leg layout; ternary path: the twist layout run
     # through the reversing partner (the map after a swap, which undoes it)
-    route = _TWIST_INV_ROUTE_BIN if pair.algebra.arity == 2 else _TWIST_ROUTE
+    route = "x1 x2 x3 y1 y2 y3 -> x1 y2 x2 y1 y3 x3" if pair.algebra.arity == 2 else _TWIST_ROUTE
     op = _routed(pair, [pair.rev, pair.rev], route, [d3, d3])
     _assert_inverse("twist", build_twist(pair), op)
     return op

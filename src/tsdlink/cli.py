@@ -2,9 +2,10 @@
 
 Subcommands: validate, check, invariant, markov, selftest.  Algebra
 arguments are JSON files; a bare name (sl2, so3, heisenberg3, nambu4,
-abelian1, abelian2) falls back to the bundled documents.  `selftest` is
-`check --property all` on each bundled document, plus a Markov trial of
-the sl2 trefoil.  Exit codes: 0 success / all checks pass, 1 check
+abelian1, abelian2), with or without .json, that names no file falls back
+to the bundled documents, and a path with a directory part never does.
+`selftest` is `check --property all` on each bundled document, plus a
+Markov trial of the sl2 trefoil.  Exit codes: 0 success / all checks pass, 1 check
 failure, 2 usage or input error.
 """
 
@@ -63,10 +64,11 @@ class CliError(Exception):
 
 
 def _resolve_algebra(path_text: str) -> AlgebraSpec:
+    """An existing file; else a bare name, with or without .json, may name a bundled document, and a path never does."""
     path = Path(path_text)
     if path.exists():
         return load_algebra_file(path)
-    document = bundled_document(path.name if path.suffix else f"{path.name}.json")
+    document = bundled_document(path.name if path.suffix else f"{path.name}.json") if path_text == path.name else None
     if document is not None:
         return load_algebra(document)
     raise CliError(f"cannot read algebra {path_text!r}: no such file or bundled algebra")
@@ -209,7 +211,7 @@ def _cmd_selftest(args, out) -> int:
     started = time.monotonic()
     rows = []  # ((phase, n), label, report): every validation, every TSD sweep, then the kit families per algebra
     # Largest algebra first: nambu4's TSD sweep, the peak of selftest, then runs before the smaller
-    # kits fill the process-wide key codecs (tensor._codec).  No kit outlives its sweep.
+    # kits add their shapes to the per-shape key codecs (tensor._codec).  No kit outlives its sweep.
     for n, name in reversed(list(enumerate(SELFTEST_ALGEBRAS))):
         reports, kit = _sweep(_resolve_algebra(name), "all")
         rows += [((min(i, 2), n), f"{family} {name}", report) for i, (family, report) in enumerate(reports)]

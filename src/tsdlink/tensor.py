@@ -45,8 +45,10 @@ table (see ``degree_raise``).  The trace of a word whose every step is
 marked reads no entry: it is dim ** (cycles of the composite permutation).
 
 Permutations act in the push convention: applying ``perm`` routes input
-factor i to output slot perm[i] (0-based).  Every leg-routing table in the
-higher layers is written in this one convention.
+factor i to output slot perm[i] (0-based), and ``_push`` is the one function
+that applies it.  The higher layers write every leg route as a labelled
+layout, such as ``"x y z1 z2 -> x z1 y z2"``, which ``layout`` turns into
+that permutation; no other module spells a route as numbers.
 
 Tensors and operators are immutable by contract.
 """
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .braids import cycle_count
@@ -142,17 +145,31 @@ def counit(x: SparseTensor):
     return x.entries.get((0,), x.field.zero)
 
 
+def layout(text: str) -> tuple:
+    """The permutation of a labelled leg layout such as ``"x y z1 z2 -> x z1 y z2"``, in the push convention.
+
+    Entry i is the output slot of the i-th input label.  Both sides must
+    list the same distinct labels.
+    """
+    src, arrow, dst = text.partition("->")
+    src, dst = src.split(), dst.split()
+    if not arrow or len(set(src)) != len(src) or sorted(src) != sorted(dst):
+        raise ValueError(f"leg layout {text!r} does not list the same distinct labels on both sides")
+    return tuple(dst.index(label) for label in src)
+
+
+def _push(perm: Sequence[int], rank: int) -> Callable[[Sequence], tuple]:
+    """The map idx -> the tuple with idx[i] in slot perm[i]: the push convention, for a bijection on 0..rank-1."""
+    if sorted(perm) != list(range(rank)):
+        raise ValueError(f"perm {perm!r} is not a bijection on 0..{rank - 1}")
+    # the item of slot s is idx[perm.index(s)]; an itemgetter of one index returns no tuple
+    return itemgetter(*map(perm.index, range(rank))) if rank > 1 else tuple
+
+
 def permute(t: SparseTensor, perm: Sequence[int]) -> SparseTensor:
     """Push input factor i to output slot perm[i] (0-based bijection)."""
-    if sorted(perm) != list(range(t.rank)):
-        raise ValueError(f"perm {perm!r} is not a bijection on 0..{t.rank - 1}")
-    out = {}
-    for idx, v in t.entries.items():
-        new = [0] * t.rank
-        for i, slot in enumerate(perm):
-            new[slot] = idx[i]
-        out[tuple(new)] = v
-    return SparseTensor(t.rank, out, t.field)
+    push = _push(perm, t.rank)
+    return SparseTensor(t.rank, {push(idx): v for idx, v in t.entries.items()}, t.field)
 
 
 def iter_indices(dim: int, rank: int) -> Iterator[tuple]:
@@ -173,7 +190,11 @@ def _encode(idx, dim: int) -> int:
 
 @lru_cache(maxsize=None)
 def _codec(dim: int, rank: int) -> tuple:
-    """(hi, lo, split): the index tuple of key k is hi[k // split] + lo[k % split]."""
+    """(hi, lo, split): the index tuple of key k is hi[k // split] + lo[k % split].
+
+    Kept per shape (dim, rank), not per algebra, and left unbounded: an entry
+    holds at most 2 * dim ** ceil(rank / 2) tuples, and a process uses few shapes.
+    """
     low = rank // 2
     return list(iter_indices(dim, rank - low)), list(iter_indices(dim, low)), dim**low
 
@@ -321,19 +342,8 @@ class SparseOperator:
 
     @classmethod
     def permutation(cls, perm: Sequence[int], dim: int, field: Field) -> "SparseOperator":
-        rank = len(perm)
-        if sorted(perm) != list(range(rank)):
-            raise ValueError(f"perm {perm!r} is not a bijection on 0..{rank - 1}")
-        perm = tuple(perm)
-        one = field.one
-
-        def col(idx: tuple) -> dict:
-            new = [0] * rank
-            for i, slot in enumerate(perm):
-                new[slot] = idx[i]
-            return {tuple(new): one}
-
-        return cls(rank, rank, dim, field, col)
+        push, one = _push(perm, len(perm)), field.one
+        return cls(len(perm), len(perm), dim, field, lambda idx: {push(idx): one})
 
     @classmethod
     def padded(cls, rows, perm, legs: int, offset: int, rank: int, dim: int, field: Field) -> "SparseOperator":
@@ -400,9 +410,9 @@ class SparseOperator:
         if all(self.perms):
             slots = list(range(self.in_rank))  # slots[s]: the leg whose digit is at slot s
             for offset, perm in self.perms:
-                moved = slots[offset:]
-                for i, slot in enumerate(perm()):
-                    slots[offset + slot] = moved[i]
+                perm = perm()
+                legs = slice(offset, offset + len(perm))
+                slots[legs] = _push(perm, len(perm))(slots[legs])
             return field.from_int(self.dim ** cycle_count(s + 1 for s in slots))
         places, (steps,) = _touched_legs(self.dim, self.in_rank, (self.steps,))
         total = field.zero
@@ -516,14 +526,16 @@ def leg_permutation(base: SparseOperator) -> tuple:
     perm = []
     for leg in range(rank):
         outs = [out for out in base.column((0,) * leg + (1,) + (0,) * (rank - leg - 1)) if out.count(0) == rank - 1]
-        # anything else fails the column check below
-        perm.append(outs[0].index(1) if len(outs) == 1 and 1 in outs[0] else leg)
+        # None: not one output, with index 1 on one leg
+        perm.append(outs[0].index(1) if len(outs) == 1 and 1 in outs[0] else None)
+    if set(perm) != set(range(rank)):
+        raise RuntimeError(
+            f"construction bug: the one-leg columns of gr give slots {tuple(perm)}, not a leg permutation"
+        )
+    push = _push(perm, rank)
     for idx in iter_indices(base.dim, rank):
-        image = [0] * rank
-        for i, slot in enumerate(perm):
-            image[slot] = idx[i]
         gr = {out: v for out, v in base.column(idx).items() if out.count(0) == idx.count(0)}
-        if gr != {tuple(image): one}:
+        if gr != {push(idx): one}:
             raise RuntimeError(
                 f"construction bug: column {idx} has degree-preserving part {gr}, not leg permutation {tuple(perm)}"
             )

@@ -15,10 +15,9 @@ single-bracket terms negated (c[x,y] and b[x,z]; [x,y,z]), which on the
 ternary path equals the map after the swap of its last two inputs.
 
 Every identity checked here is an exact operator equality, evaluated on
-all basis columns.  Sweedler bookkeeping is pinned by explicit routing
-permutations (push convention, 0-based), named once below; this is where
-implementations silently diverge, so each constant states the leg layout
-it encodes.
+all basis columns.  Sweedler bookkeeping is pinned by explicit leg routes;
+this is where implementations silently diverge, so each route is written
+once, as the labelled leg layout it encodes (``tensor.layout``).
 
 The slot order of the reversibility identity depends on the path: with
 the reversing partner applied outside, the binary path needs the legs of
@@ -38,27 +37,14 @@ from .tensor import (
     compose_chain,
     counit_op,
     delta_op,
+    layout,
     tensor_chain,
 )
 
-# (x, y, z, u1, u2, u3, v1, v2, v3) -> (x, u1, v1, y, u2, v2, z, u3, v3):
-# distribute the three legs of the last two inputs across the three
+# Distribute the three legs of the last two inputs across the three
 # ternary-map factors.  Also the tensor-coalgebra shuffle
-# (x1, x2, x3, y1, y2, y3, z1, z2, z3) -> (x1, y1, z1, x2, y2, z2, x3, y3, z3).
-INTERLEAVE_9 = (0, 3, 6, 1, 4, 7, 2, 5, 8)
-
-# (x, y1, y2, z1, z2) -> (x, y2, z2, z1, y1): inner (second) legs feed the
-# first map, outer (first) legs feed slots 2 and 3 in reversed order.
-_REV_BINARY_DEF = (0, 4, 1, 3, 2)
-# (x, y1, y2, z1, z2) -> (x, y1, z1, z2, y2): first legs inside.
-_REV_BINARY_LEM = (0, 1, 4, 2, 3)
-# (x, y1, y2, z1, z2) -> (x, y2, z2, y1, z1): outer pair in straight order.
-_REV_TERNARY_DEF = (0, 3, 1, 4, 2)
-# (x, y1, y2, z1, z2) -> (x, y1, z1, y2, z2).
-_REV_TERNARY_LEM = (0, 1, 3, 2, 4)
-
-# (x, y, z1, z2) -> (x, z1, y, z2): duplicate the last input and interleave.
-_SD_MIDDLE_SWAP = (0, 2, 1, 3)
+# "x1 x2 x3 y1 y2 y3 z1 z2 z3 -> x1 y1 z1 x2 y2 z2 x3 y3 z3".
+INTERLEAVE_9 = layout("x y z u1 u2 u3 v1 v2 v3 -> x u1 v1 y u2 v2 z u3 v3")
 
 
 @dataclass
@@ -203,9 +189,15 @@ def _identities(pair: TsdPair, which: set):
         # cocommutativity makes the two leg orders agree, and the check
         # documents that
         expand2, target = tensor_chain([one1, d2, d2]), tensor_chain([one1, eps, eps])
-        routes = (_REV_BINARY_DEF, _REV_BINARY_LEM) if pair.algebra.arity == 2 else (_REV_TERNARY_DEF, _REV_TERNARY_LEM)
+        # def-legs feed the second legs to the inner map, proof-legs the first;
+        # the binary path takes the outer pair in reversed order (module docstring)
+        routes = (
+            ("x y1 y2 z1 z2 -> x y2 z2 z1 y1", "x y1 y2 z1 z2 -> x y1 z1 z2 y2")
+            if pair.algebra.arity == 2
+            else ("x y1 y2 z1 z2 -> x y2 z2 y1 z1", "x y1 y2 z1 z2 -> x y1 z1 y2 z2")
+        )
         for order, legs in zip(("def-legs", "proof-legs"), routes):
-            perm = SparseOperator.permutation(legs, dim, field)
+            perm = SparseOperator.permutation(layout(legs), dim, field)
             for maps, outer, inner in (("rev.fwd", rev, op), ("fwd.rev", op, rev)):
                 yield f"reversibility[{maps},{order}]", compose_chain([lhs(outer, inner), perm, expand2]), target
     if "mixed" in which:
@@ -216,7 +208,7 @@ def _identities(pair: TsdPair, which: set):
     if "q-self-distributive" in which:
         q = build_q(pair.algebra)
         nested = q.compose(tensor_chain([q, one1]))
-        swap = SparseOperator.permutation(_SD_MIDDLE_SWAP, dim, field)
+        swap = SparseOperator.permutation(layout("x y z1 z2 -> x z1 y z2"), dim, field)
         expand_last = tensor_chain([one1, one1, d2])
         yield "q-self-distributive", nested, compose_chain([q, tensor_chain([q, q]), swap, expand_last])
         yield "tsd-is-nested-q", op, nested

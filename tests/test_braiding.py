@@ -207,6 +207,16 @@ def test_filtered_braiding_whose_gr_is_no_leg_permutation_blocks_the_trace(tampe
         trace_invariant(tampered, parse_braid_word("s1", 2))
 
 
+def test_filtered_braiding_whose_one_leg_columns_give_no_leg_permutation_blocks_the_trace():
+    # gr maps (0,0,0,1) to (0,2,0,0): no leg of the permutation for the last leg
+    k = make_braiding_kit(tsd_pair("sl2"))
+    tampered = _tampered_braiding(k, lambda columns: columns.update({(0, 0, 0, 1): {(0, 2, 0, 0): 1}}))
+    assert [r.ok for r in check_braiding(tampered).results if r.name == "filtration"] == [True]
+    message = "construction bug: the one-leg columns of gr give slots (2, 3, 0, None), not a leg permutation"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        trace_invariant(tampered, parse_braid_word("s1", 2))
+
+
 @pytest.mark.parametrize("name,n", [("sl2", 2), ("sl2", 3), ("nambu4", 2)])
 def test_padded_generators_match_tensor_padding(name, n):
     k = kit(name)

@@ -54,6 +54,28 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["{tmp}/no/such/dir/sl2.json", "./sl2.json", "./nambu4", "sl2/"])
+def test_a_path_that_does_not_exist_names_no_bundled_algebra(text, tmp_path, monkeypatch, capsys):
+    # only a bare name may name a bundled document; a typo in a path is an error
+    monkeypatch.chdir(tmp_path)
+    text = text.format(tmp=tmp_path)
+    code, out = run(["validate", text])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: cannot read algebra {text!r}: no such file or bundled algebra\n"
+
+
+def test_an_existing_file_is_read_before_a_bundled_name(tmp_path, monkeypatch):
+    from tsdlink.algebra import builtin_algebra, dump_algebra
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sl2.json").write_text(json.dumps(dump_algebra(builtin_algebra("nambu4"))))
+    nambu4 = run(["validate", "nambu4"])
+    for text in ("./sl2.json", "sl2.json", str(tmp_path / "sl2.json")):
+        assert run(["validate", text]) == nambu4, text
+    code, text = run(["validate", "sl2"])  # no file named sl2: the bundled document
+    assert code == 0 and "jacobi: PASS (27 triples)" in text
+
+
 def test_malformed_json_is_usage_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

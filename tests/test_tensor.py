@@ -16,6 +16,7 @@ from tsdlink.tensor import (
     delta_n,
     delta_op,
     iter_indices,
+    layout,
     permute,
     vector,
 )
@@ -80,6 +81,47 @@ def test_permute_interleave_nine():
 def test_permute_rejects_non_bijection():
     with pytest.raises(ValueError):
         permute(SparseTensor(2, {(0, 0): 1}, F), (0, 0))
+
+
+def test_layout_is_the_push_permutation_of_its_labels():
+    assert layout("x y z1 z2 -> x z1 y z2") == (0, 2, 1, 3)
+    assert layout("x y z u1 u2 u3 v1 v2 v3 -> x u1 v1 y u2 v2 z u3 v3") == (0, 3, 6, 1, 4, 7, 2, 5, 8)
+    t = SparseTensor(4, {(1, 2, 3, 4): 1}, F)
+    assert permute(t, layout("a b c d -> d a c b")).entries == {(4, 1, 3, 2): 1}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x y y -> x y y",  # a repeated label
+        "x y z -> x y w",  # a label on one side only
+        "x y z -> x y",  # sides of different lengths
+        "x y -> x y x",
+        "x y z",  # no arrow
+    ],
+)
+def test_malformed_layout_is_rejected(text):
+    with pytest.raises(ValueError, match="leg layout"):
+        layout(text)
+
+
+@pytest.mark.parametrize(
+    "text,dim",
+    [
+        ("x y z1 z2 -> x z1 y z2", 3),
+        ("x y1 y2 z1 z2 -> x y2 z2 z1 y1", 3),
+        ("x1 x2 x3 y1 y2 y3 z w -> z y2 x2 w y3 x3 x1 y1", 2),
+        ("x y z u1 u2 u3 v1 v2 v3 -> x u1 v1 y u2 v2 z u3 v3", 2),
+    ],
+)
+def test_layout_and_its_reverse_compose_to_the_identity(text, dim):
+    src, dst = text.split("->")
+    forward = SparseOperator.permutation(layout(text), dim, F)
+    backward = SparseOperator.permutation(layout(f"{dst} -> {src}"), dim, F)
+    identity = SparseOperator.identity(forward.in_rank, dim, F)
+    assert forward.compose(backward).diff_witness(identity) is None
+    assert backward.compose(forward).diff_witness(identity) is None
+    assert forward.diff_witness(identity) is not None
 
 
 def test_op_apply_trivial():

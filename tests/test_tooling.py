@@ -75,3 +75,15 @@ def test_selftest_runs_every_bundled_document_and_the_package_ships_them():
     patterns = pyproject["tool"]["setuptools"]["package-data"]["tsdlink"]
     for path in documents:
         assert any(fnmatch(path.relative_to(SRC).as_posix(), pattern) for pattern in patterns), path
+
+
+def test_no_leg_route_is_written_as_numbers():
+    # tsd and braiding write every leg route as a labelled layout (tensor.layout);
+    # a tuple of four or more integers there is a hand-written route
+    routes = []
+    for name in ("tsd.py", "braiding.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
+            if isinstance(node, ast.Tuple) and len(node.elts) >= 4:
+                if all(isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts):
+                    routes.append((name, node.lineno))
+    assert routes == []
