@@ -12,8 +12,7 @@ from .algebra import (
     AlgebraSpec,
     CheckResult,
     ValidationReport,
-    bracket2,
-    bracket3,
+    bracket,
     builtin_algebra,
     dump_algebra,
     load_algebra,

@@ -4,8 +4,9 @@ Brackets are stored only on strictly increasing basis-index tuples
 (1-based); every other ordering is recovered from the sign of the sorting
 permutation and repeated indices give zero.  Antisymmetry / total
 skew-symmetry is therefore structural and cannot be violated by data, so
-the validators only have to check the Jacobi identity (arity 2) or the
-Filippov identity (arity 3), exhaustively over basis tuples -- complete by
+validation checks one identity, the fundamental identity of an n-Lie
+algebra (Jacobi at arity 2, Filippov at arity 3), with one multilinear
+``bracket``, exhaustively over basis tuples -- complete by
 multilinearity.
 
 Vectors of L are sparse 1-based index -> scalar maps.
@@ -15,8 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
 from importlib import resources
 from itertools import combinations, product
+from operator import getitem
 from pathlib import Path
 
 from .fields import Field, RATIONALS, _accumulate
@@ -74,37 +77,18 @@ def _check_vector(spec: AlgebraSpec, v: dict) -> None:
             raise AlgebraError(f"vector index {i} out of range 1..{spec.dim}")
 
 
-def bracket2(spec: AlgebraSpec, x: dict, y: dict) -> dict:
-    """Bilinear antisymmetric extension of the structure constants."""
-    if spec.arity != 2:
-        raise AlgebraError(f"bracket2 on arity-{spec.arity} algebra")
-    _check_vector(spec, x)
-    _check_vector(spec, y)
-    field = spec.field
-    out: dict = {}
-    for i, xc in x.items():
-        for j, yc in y.items():
-            coeffs = spec.bracket_basis((i, j))
-            if coeffs:
-                _accumulate(out, coeffs, field, field.mul(xc, yc))
-    return out
-
-
-def bracket3(spec: AlgebraSpec, x: dict, y: dict, z: dict) -> dict:
-    """Trilinear totally skew extension of the structure constants."""
-    if spec.arity != 3:
-        raise AlgebraError(f"bracket3 on arity-{spec.arity} algebra")
-    for v in (x, y, z):
+def bracket(spec: AlgebraSpec, *vectors: dict) -> dict:
+    """Multilinear skew extension of the structure constants: [v1, ..., vn] for arity n."""
+    if len(vectors) != spec.arity:
+        raise AlgebraError(f"{len(vectors)}-vector bracket on arity-{spec.arity} algebra")
+    for v in vectors:
         _check_vector(spec, v)
     field = spec.field
     out: dict = {}
-    for i, xc in x.items():
-        for j, yc in y.items():
-            cxy = field.mul(xc, yc)
-            for k, zc in z.items():
-                coeffs = spec.bracket_basis((i, j, k))
-                if coeffs:
-                    _accumulate(out, coeffs, field, field.mul(cxy, zc))
+    for indices in product(*vectors):
+        coeffs = spec.bracket_basis(indices)
+        if coeffs:
+            _accumulate(out, coeffs, field, reduce(field.mul, map(getitem, vectors, indices)))
     return out
 
 
@@ -149,69 +133,53 @@ class ValidationReport:
         return [str(r) for r in self.results]
 
 
-def _unit(spec: AlgebraSpec, i: int) -> dict:
-    return {i: spec.field.one}
-
-
-def _jacobi_residual(spec: AlgebraSpec, i: int, j: int, k: int) -> dict:
-    x, y, z = (_unit(spec, t) for t in (i, j, k))
-    field = spec.field
+def _fundamental_residual(spec: AlgebraSpec, xs: tuple[int, ...]) -> dict:
+    """[[x1..xn], y1..y(n-1)] - sum_i [x1..[xi, y1..y(n-1)]..xn] on the basis vectors xs = (x.., y..)."""
+    n, field = spec.arity, spec.field
+    head, tail = [{t: field.one} for t in xs[:n]], [{t: field.one} for t in xs[n:]]
     out: dict = {}
-    _accumulate(out, bracket2(spec, bracket2(spec, x, y), z), field)
-    _accumulate(out, bracket2(spec, bracket2(spec, y, z), x), field)
-    _accumulate(out, bracket2(spec, bracket2(spec, z, x), y), field)
-    return out
-
-
-def _filippov_residual(spec: AlgebraSpec, xs: tuple[int, ...]) -> dict:
-    # [[x1,x2,x3],x4,x5] - [[x1,x4,x5],x2,x3] - [x1,[x2,x4,x5],x3] - [x1,x2,[x3,x4,x5]]
-    x1, x2, x3, x4, x5 = (_unit(spec, t) for t in xs)
-    field = spec.field
-    out: dict = {}
-    _accumulate(out, bracket3(spec, bracket3(spec, x1, x2, x3), x4, x5), field)
+    _accumulate(out, bracket(spec, bracket(spec, *head), *tail), field)
     minus_one = field.neg(field.one)
-    _accumulate(out, bracket3(spec, bracket3(spec, x1, x4, x5), x2, x3), field, minus_one)
-    _accumulate(out, bracket3(spec, x1, bracket3(spec, x2, x4, x5), x3), field, minus_one)
-    _accumulate(out, bracket3(spec, x1, x2, bracket3(spec, x3, x4, x5)), field, minus_one)
+    for i in range(n):
+        inner = bracket(spec, head[i], *tail)
+        _accumulate(out, bracket(spec, *head[:i], inner, *head[i + 1 :]), field, minus_one)
     return out
+
+
+# per arity: the structural check, the defining identity and what its scan covers
+_REPORT_NAMES = {2: ("antisymmetry", "jacobi", "triples"), 3: ("skew-symmetry", "filippov", "5-tuples")}
 
 
 def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
-    """Exhaustive basis-tuple check of the defining identity.
+    """Exhaustive basis-tuple check of the fundamental identity.
 
-    Arity 2: Jacobi over all d^3 triples.  Arity 3: the Filippov
-    (fundamental) identity, in the derivation form
-    [[x1,x2,x3],x4,x5] = [[x1,x4,x5],x2,x3] + [x1,[x2,x4,x5],x3]
-    + [x1,x2,[x3,x4,x5]], over all d^5 tuples.  Its residual changes sign
-    under a permutation of (x1, x2, x3) or of (x4, x5) and vanishes on a
-    repeated index, so it is evaluated where x1 < x2 < x3 and x4 < x5
-    only: the first failing tuple in product order is such a one.
+    One identity for both arities, that of Filippov's n-Lie algebras:
+    [[x1..xn], y1..y(n-1)] = sum_i [x1..[xi, y1..y(n-1)]..xn] on all
+    d^(2n-1) basis tuples.  At n = 2 it is the Jacobi identity, whose
+    residual is the cyclic sum, accumulated as [[x,y],z] + [[z,x],y] +
+    [[y,z],x]; at n = 3 it is the Filippov identity.
+
+    The residual changes sign under a permutation of (x1..xn) or of
+    (y1..y(n-1)) and vanishes on a repeated index, so it is evaluated
+    where x1 < .. < xn and y1 < .. < y(n-1) only (C(d,2)*d triples
+    instead of d^3 at n = 2).  Sorting the x's and the y's of a failing
+    tuple gives a failing tuple no later in product order, so the first
+    failure of this scan is the first of the full product scan.
     Antisymmetry is structural and reported as vacuously checked.  A
     passing report marks the spec's content as validated, which
     ``ensure_validated`` reads.
     """
+    skew, identity, tuples = _REPORT_NAMES[spec.arity]
     report = ValidationReport()
-    skew_name = "antisymmetry" if spec.arity == 2 else "skew-symmetry"
-    report.add(CheckResult(skew_name, True, "structural (sorted-tuple storage)"))
-    d = spec.dim
-    if spec.arity == 2:
-        count = 0
-        for i, j, k in product(range(1, d + 1), repeat=3):
-            count += 1
-            residual = _jacobi_residual(spec, i, j, k)
-            if residual:
-                report.add(CheckResult("jacobi", False, witness=(i, j, k), residual=residual))
-                return report
-        report.add(CheckResult("jacobi", True, f"{count} triples"))
-    else:
-        basis = range(1, d + 1)
-        for head, tail in product(combinations(basis, 3), combinations(basis, 2)):
-            xs = head + tail
-            residual = _filippov_residual(spec, xs)
-            if residual:
-                report.add(CheckResult("filippov", False, witness=xs, residual=residual))
-                return report
-        report.add(CheckResult("filippov", True, f"{d**5} 5-tuples"))
+    report.add(CheckResult(skew, True, "structural (sorted-tuple storage)"))
+    n, basis = spec.arity, range(1, spec.dim + 1)
+    for head, tail in product(combinations(basis, n), combinations(basis, n - 1)):
+        xs = head + tail
+        residual = _fundamental_residual(spec, xs)
+        if residual:
+            report.add(CheckResult(identity, False, witness=xs, residual=residual))
+            return report
+    report.add(CheckResult(identity, True, f"{spec.dim ** (2 * n - 1)} {tuples}"))
     object.__setattr__(spec, "_validated", _fingerprint(spec))
     return report
 

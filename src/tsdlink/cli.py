@@ -58,15 +58,13 @@ SELFTEST_ALGEBRAS = ("abelian1", "abelian2", "heisenberg3", "so3", "sl2", "nambu
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or input error, reported as one line with exit code 2."""
 
 
 def _resolve_algebra(path_text: str) -> AlgebraSpec:
     """An existing file; else a bare name, with or without .json, may name a bundled document, and a path never does."""
     path = Path(path_text)
-    if path.exists():
+    if path_text and path.exists():  # Path("") is the current directory
         return load_algebra_file(path)
     document = bundled_document(path.name if path.suffix else f"{path.name}.json") if path_text == path.name else None
     if document is not None:
@@ -281,10 +279,7 @@ def run_cli(argv: list[str], out=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (AlgebraError, BraidSyntaxError, FieldError, DimensionCapError, OSError) as e:
+    except (CliError, AlgebraError, BraidSyntaxError, FieldError, DimensionCapError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -16,14 +16,14 @@ A step from k to k' legs moves the legs above it by ``shift = stride *
 (dim**k' - width)``; a square step has shift 0.  ``_run_steps`` is the one
 loop that applies a word to a key.
 
-A leaf map (a column function, ``from_columns``, a permutation, the
-comultiplication, the counit) is one step whose rows are computed on first
-use and kept; ``identity`` is the empty word.  ``compose`` concatenates
-words; ``tensor`` runs the left factor's steps past the right factor's
-input legs, then the right factor's steps.  Nothing else stores entries: a
-column encodes its index once, runs the steps and decodes once; a
-comparison runs both words key by key and decodes only the first
-differing key; ``materialized`` runs every key into one step.
+A leaf map (a column function, a permutation, the comultiplication, the
+counit) is one step whose rows are computed on first use and kept;
+``identity`` is the empty word.  ``compose`` concatenates words; ``tensor``
+runs the left factor's steps past the right factor's input legs, then the
+right factor's steps.  Nothing else stores entries: a column encodes its
+index once, runs the steps and decodes once; a comparison runs both words
+key by key and decodes only the first differing key; ``materialized`` runs
+every key into one step.
 
 A word of square steps is the identity on the legs no step touches, so a
 comparison or a key-sum trace runs on the touched legs alone
@@ -328,17 +328,9 @@ class SparseOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_columns(cls, in_rank: int, out_rank: int, dim: int, field: Field, columns: dict) -> "SparseOperator":
-        return cls(in_rank, out_rank, dim, field, lambda idx: columns.get(idx, {}))
-
-    @classmethod
     def identity(cls, rank: int, dim: int, field: Field) -> "SparseOperator":
         """The empty word."""
         return _word(rank, rank, dim, field, (), ())
-
-    @classmethod
-    def zero(cls, in_rank: int, out_rank: int, dim: int, field: Field) -> "SparseOperator":
-        return cls(in_rank, out_rank, dim, field, lambda idx: {})
 
     @classmethod
     def permutation(cls, perm: Sequence[int], dim: int, field: Field) -> "SparseOperator":

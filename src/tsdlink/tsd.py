@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraSpec, CheckResult, ValidationReport, AlgebraError, ensure_validated
+from .algebra import AlgebraSpec, CheckResult, ValidationReport, AlgebraError, bracket, ensure_validated
 from .tensor import (
     SparseOperator,
     compose_chain,
@@ -76,8 +76,6 @@ def _ternary_map(spec: AlgebraSpec, sign) -> SparseOperator:
     Those terms are c[x,y] and b[x,z] on the binary path and [x,y,z] on the
     ternary path.  sign is one for build_T and minus one for build_T_tilde.
     """
-    from .algebra import bracket2  # local to keep module load light
-
     field = spec.field
     one = field.one
 
@@ -88,7 +86,7 @@ def _ternary_map(spec: AlgebraSpec, sign) -> SparseOperator:
         if j == 0 and k == 0:
             return {(i,): one}
         if spec.arity == 2 and j and k:
-            return _embed(bracket2(spec, bracket2(spec, {i: one}, {j: one}), {k: one}))
+            return _embed(bracket(spec, bracket(spec, {i: one}, {j: one}), {k: one}))
         if spec.arity == 3 and not (j and k):
             return {}
         # the single bracket: [x,y,z], or c[x,y] or b[x,z] (one of j, k is zero)

@@ -6,7 +6,7 @@ from functools import cache
 from itertools import product
 
 from tsdlink import builtin_algebra, make_braiding_kit, make_tsd_pair
-from tsdlink.algebra import _filippov_residual
+from tsdlink.algebra import _fundamental_residual
 from tsdlink.fields import _accumulate
 from tsdlink.tensor import SparseOperator, iter_indices
 
@@ -65,10 +65,10 @@ def full_scan_witness(a, b):
     return None
 
 
-def filippov_full_scan(spec):
-    """The first 5-tuple in product order where the Filippov identity fails, with its residual, or None."""
-    for xs in product(range(1, spec.dim + 1), repeat=5):
-        residual = _filippov_residual(spec, xs)
+def fundamental_full_scan(spec):
+    """The first (2n-1)-tuple in product order where the fundamental identity fails, with its residual, or None."""
+    for xs in product(range(1, spec.dim + 1), repeat=2 * spec.arity - 1):
+        residual = _fundamental_residual(spec, xs)
         if residual:
             return xs, residual
     return None

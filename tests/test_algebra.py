@@ -3,21 +3,21 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from helpers import BUNDLED, algebra, filippov_full_scan
+from helpers import BUNDLED, algebra, fundamental_full_scan
 from tsdlink.algebra import (
     AlgebraError,
     builtin_algebra,
-    bracket2,
-    bracket3,
+    _fundamental_residual,
+    bracket,
     dump_algebra,
     load_algebra,
     validate_algebra,
 )
-from tsdlink.fields import RATIONALS, PrimeField
+from tsdlink.fields import RATIONALS, PrimeField, _accumulate
 
 
 def _eps(perm):
@@ -33,24 +33,24 @@ def _eps(perm):
 
 def test_builtin_so3():
     spec = algebra("so3")
-    assert bracket2(spec, {1: 1}, {2: 1}) == {3: 1}
-    assert bracket2(spec, {2: 1}, {3: 1}) == {1: 1}
-    assert bracket2(spec, {3: 1}, {1: 1}) == {2: 1}
+    assert bracket(spec, {1: 1}, {2: 1}) == {3: 1}
+    assert bracket(spec, {2: 1}, {3: 1}) == {1: 1}
+    assert bracket(spec, {3: 1}, {1: 1}) == {2: 1}
 
 
 def test_builtin_nambu4_epsilon_tensor():
     # expand epsilon_{abcd} by hand: the four sorted brackets
     spec = algebra("nambu4")
-    assert bracket3(spec, {1: 1}, {2: 1}, {3: 1}) == {4: 1}
-    assert bracket3(spec, {1: 1}, {2: 1}, {4: 1}) == {3: -1}
-    assert bracket3(spec, {1: 1}, {3: 1}, {4: 1}) == {2: 1}
-    assert bracket3(spec, {2: 1}, {3: 1}, {4: 1}) == {1: -1}
+    assert bracket(spec, {1: 1}, {2: 1}, {3: 1}) == {4: 1}
+    assert bracket(spec, {1: 1}, {2: 1}, {4: 1}) == {3: -1}
+    assert bracket(spec, {1: 1}, {3: 1}, {4: 1}) == {2: 1}
+    assert bracket(spec, {2: 1}, {3: 1}, {4: 1}) == {1: -1}
 
 
 def test_builtin_abelian_empty_structure():
     spec = builtin_algebra("abelian", dim=2, arity=2)
     assert spec.structure == {}
-    assert bracket2(spec, {1: 1}, {2: 1}) == {}
+    assert bracket(spec, {1: 1}, {2: 1}) == {}
 
 
 def test_builtin_unknown():
@@ -65,25 +65,25 @@ def test_builtin_unknown():
 def test_bracket2_examples():
     sl2 = algebra("sl2")
     # basis order (h, e, f)
-    assert bracket2(sl2, {1: 1}, {2: 1}) == {2: 2}
-    assert bracket2(sl2, {2: 1}, {1: 1}) == {2: -2}
+    assert bracket(sl2, {1: 1}, {2: 1}) == {2: 2}
+    assert bracket(sl2, {2: 1}, {1: 1}) == {2: -2}
     so3 = algebra("so3")
-    assert bracket2(so3, {1: 1, 2: 1}, {2: 1}) == {3: 1}
+    assert bracket(so3, {1: 1, 2: 1}, {2: 1}) == {3: 1}
 
 
 def test_bracket3_skew():
     spec = algebra("nambu4")
-    assert bracket3(spec, {2: 1}, {1: 1}, {3: 1}) == {4: -1}
-    assert bracket3(spec, {1: 1}, {1: 1}, {3: 1}) == {}
+    assert bracket(spec, {2: 1}, {1: 1}, {3: 1}) == {4: -1}
+    assert bracket(spec, {1: 1}, {1: 1}, {3: 1}) == {}
 
 
 def test_bracket_arity_mismatch():
     with pytest.raises(AlgebraError):
-        bracket2(algebra("nambu4"), {1: 1}, {2: 1})
+        bracket(algebra("nambu4"), {1: 1}, {2: 1})
     with pytest.raises(AlgebraError):
-        bracket3(algebra("sl2"), {1: 1}, {2: 1}, {3: 1})
+        bracket(algebra("sl2"), {1: 1}, {2: 1}, {3: 1})
     with pytest.raises(AlgebraError):
-        bracket2(algebra("sl2"), {5: 1}, {2: 1})
+        bracket(algebra("sl2"), {5: 1}, {2: 1})
 
 
 def test_bracket2_antisymmetry_random():
@@ -93,8 +93,8 @@ def test_bracket2_antisymmetry_random():
         for _ in range(25):
             x = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(1, spec.dim + 1)}
             y = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(1, spec.dim + 1)}
-            xy = bracket2(spec, x, y)
-            yx = bracket2(spec, y, x)
+            xy = bracket(spec, x, y)
+            yx = bracket(spec, y, x)
             assert xy == {i: -c for i, c in yx.items()}
 
 
@@ -106,10 +106,10 @@ def test_bracket3_sign_under_s3_random():
             {i: Fraction(rng.randint(-3, 3)) for i in range(1, 5)}
             for _ in range(3)
         ]
-        base = bracket3(spec, *vecs)
+        base = bracket(spec, *vecs)
         for perm in permutations(range(3)):
             expected = {i: _eps(perm) * c for i, c in base.items()}
-            assert bracket3(spec, *(vecs[p] for p in perm)) == expected
+            assert bracket(spec, *(vecs[p] for p in perm)) == expected
 
 
 def test_validate_all_builtins():
@@ -201,6 +201,15 @@ def test_mutation_detection_landscape():
         assert undetected == still_valid[name]
 
 
+def _jacobi_cyclic_sum(spec, i, j, k):
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] on the basis vectors x, y, z = e_i, e_j, e_k."""
+    one, out = spec.field.one, {}
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        _accumulate(out, bracket(spec, bracket(spec, {x: one}, {y: one}), {z: one}), spec.field)
+    return out
+
+
+
 def test_sl2_rescaling_mutant_is_isomorphic_to_sl2():
     # [e,f] = 2h with [h,e] = 2e, [h,f] = -2f is sl2 under e' = sqrt(2) e,
     # f' = sqrt(2) f; verify Jacobi directly on all 27 basis triples.
@@ -208,12 +217,7 @@ def test_sl2_rescaling_mutant_is_isomorphic_to_sl2():
     assert doc["brackets"][2]["args"] == [2, 3]
     mutant = load_algebra(_mutate(doc, 2, 0))
     for i, j, k in product(range(1, 4), repeat=3):
-        total = {}
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = bracket2(mutant, {x: 1}, {y: 1})
-            for idx, c in bracket2(mutant, inner, {z: 1}).items():
-                total[idx] = total.get(idx, 0) + c
-        assert all(v == 0 for v in total.values()), (i, j, k)
+        assert _jacobi_cyclic_sum(mutant, i, j, k) == {}, (i, j, k)
 
 
 def test_load_algebra_schema_errors():
@@ -320,7 +324,7 @@ def test_prime_field_algebra_validates():
     spec = builtin_algebra("sl2", field=PrimeField(7))
     report = validate_algebra(spec)
     assert report.passed
-    assert bracket2(spec, {1: 1}, {3: 1}) == {3: 5}  # -2 mod 7
+    assert bracket(spec, {1: 1}, {3: 1}) == {3: 5}  # -2 mod 7
 
 
 def test_validation_mark_follows_spec_content():
@@ -361,7 +365,7 @@ def test_filippov_orbit_representatives_match_full_scan(field):
         structure[key][l] = add(structure[key].get(l, spec.field.zero), one)
         mutant = dataclasses.replace(spec, structure=structure)
         report = validate_algebra(mutant)
-        want = filippov_full_scan(mutant)
+        want = fundamental_full_scan(mutant)
         filippov = report.results[-1]
         assert filippov.name == "filippov"
         if want is None:
@@ -370,3 +374,29 @@ def test_filippov_orbit_representatives_match_full_scan(field):
         failed += 1
         assert (filippov.witness, list(filippov.residual.items())) == (want[0], list(want[1].items()))
     assert failed == 12  # the four diagonal moves stay 3-Lie (see the mutation landscape)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["Q", "F7"])
+def test_fundamental_identity_at_arity_2_is_jacobi(field):
+    # every coefficient c_ab^l of sl2, so3 and heisenberg3 moved by +1 and by -1, the absent ones included
+    failed = {}
+    for name in ("sl2", "so3", "heisenberg3"):
+        spec = builtin_algebra(name, field=field)
+        f, basis = spec.field, range(1, spec.dim + 1)
+        failed[name] = 0
+        for key, l, step in product(combinations(basis, 2), basis, (f.one, f.neg(f.one))):
+            structure = {k: dict(v) for k, v in spec.structure.items()}
+            coeffs = structure.setdefault(key, {})
+            coeffs[l] = f.add(coeffs.get(l, f.zero), step)
+            mutant = dataclasses.replace(spec, structure=structure)
+            for xs in product(basis, repeat=3):
+                assert _fundamental_residual(mutant, xs) == _jacobi_cyclic_sum(mutant, *xs), (name, key, l, xs)
+            jacobi = validate_algebra(mutant).results[-1]
+            assert jacobi.name == "jacobi"
+            want = fundamental_full_scan(mutant)
+            if want is None:
+                assert jacobi.ok and jacobi.detail == "27 triples"
+                continue
+            failed[name] += 1
+            assert (jacobi.witness, list(jacobi.residual.items())) == (want[0], list(want[1].items()))
+    assert failed == {"sl2": 12, "so3": 12, "heisenberg3": 4}  # of 18 mutants each

@@ -169,7 +169,7 @@ def test_check_path_builds_no_graded_tables():
 def _tampered_braiding(k, tamper):
     columns = {idx: dict(k.braiding.column(idx)) for idx in iter_indices(k.dim, 4)}
     tamper(columns)
-    braiding = SparseOperator.from_columns(4, 4, k.dim, k.field, columns)
+    braiding = SparseOperator(4, 4, k.dim, k.field, lambda idx: columns.get(idx, {}))
     return dataclasses.replace(k, braiding=braiding, cache={})
 
 

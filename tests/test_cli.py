@@ -54,9 +54,12 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", ["{tmp}/no/such/dir/sl2.json", "./sl2.json", "./nambu4", "sl2/"])
+@pytest.mark.parametrize(
+    "text", ["{tmp}/no/such/dir/sl2.json", "./sl2.json", "./nambu4", "sl2/", pytest.param("", id="empty")]
+)
 def test_a_path_that_does_not_exist_names_no_bundled_algebra(text, tmp_path, monkeypatch, capsys):
-    # only a bare name may name a bundled document; a typo in a path is an error
+    # only a bare name may name a bundled document; a typo in a path is an error, and
+    # an empty argument names no file (Path("") is the current directory)
     monkeypatch.chdir(tmp_path)
     text = text.format(tmp=tmp_path)
     code, out = run(["validate", text])

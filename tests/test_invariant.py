@@ -199,7 +199,7 @@ def test_tampered_twist_witness_on_non_adjacent_strands():
     k = make_braiding_kit(tsd_pair("sl2"))
     columns = {idx: dict(k.twist.column(idx)) for idx in iter_indices(k.dim, 2)}
     columns[(1, 2)][(2, 0)] = k.field.neg(columns[(1, 2)][(2, 0)])
-    twist = SparseOperator.from_columns(2, 2, k.dim, k.field, columns)
+    twist = SparseOperator(2, 2, k.dim, k.field, lambda idx: columns.get(idx, {}))
     tampered = dataclasses.replace(k, twist=twist, cache={})
     # t1 t3 acts on legs {0, 1, 4, 5} of X^6; its witness has index 0 on legs 2 and 3
     lhs = padded_power(tampered, "twist", 1, 1, 3).compose(padded_power(tampered, "twist", 1, 3, 3))

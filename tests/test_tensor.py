@@ -128,16 +128,16 @@ def test_op_apply_trivial():
     identity = SparseOperator.identity(2, 3, F)
     t = SparseTensor(2, {(1, 2): 7}, F)
     assert identity.apply(t) == t
-    zero = SparseOperator.zero(2, 2, 3, F)
+    zero = SparseOperator(2, 2, 3, F, lambda idx: {})
     assert zero.apply(t).is_zero()
-    single = SparseOperator.from_columns(1, 1, 2, F, {(0,): {(1,): 1}})
+    single = SparseOperator(1, 1, 2, F, lambda idx: {(1,): 1} if idx == (0,) else {})
     assert single.apply(vector({0: 2}, F)).entries == {(1,): 2}
 
 
 def test_op_compose():
     identity = SparseOperator.identity(1, 2, F)
-    up = SparseOperator.from_columns(1, 1, 2, F, {(0,): {(1,): 1}})
-    down = SparseOperator.from_columns(1, 1, 2, F, {(1,): {(0,): 1}})
+    up = SparseOperator(1, 1, 2, F, lambda idx: {(1,): 1} if idx == (0,) else {})
+    down = SparseOperator(1, 1, 2, F, lambda idx: {(0,): 1} if idx == (1,) else {})
     assert up.compose(identity).diff_witness(up) is None
     swap = SparseOperator.permutation((1, 0), 2, F)
     assert swap.compose(swap).diff_witness(SparseOperator.identity(2, 2, F)) is None
@@ -160,8 +160,8 @@ def test_leaf_computes_each_column_once():
 def test_op_tensor():
     id1 = SparseOperator.identity(1, 2, F)
     assert id1.tensor(id1).diff_witness(SparseOperator.identity(2, 2, F)) is None
-    up = SparseOperator.from_columns(1, 1, 2, F, {(0,): {(1,): 1}})
-    keep = SparseOperator.from_columns(1, 1, 2, F, {(0,): {(0,): 1}})
+    up = SparseOperator(1, 1, 2, F, lambda idx: {(1,): 1} if idx == (0,) else {})
+    keep = SparseOperator(1, 1, 2, F, lambda idx: {(0,): 1} if idx == (0,) else {})
     assert up.tensor(keep).column((0, 0)) == {(1, 0): 1}
     # (A (x) id) applied to t (x) s acts factorwise
     t = SparseTensor(2, {(0, 1): 3}, F)
@@ -171,7 +171,7 @@ def test_op_tensor():
 def test_op_trace_examples():
     assert SparseOperator.identity(2, 2, F).trace() == 4
     assert SparseOperator.permutation((1, 0), 2, F).trace() == 2
-    assert SparseOperator.zero(2, 2, 2, F).trace() == 0
+    assert SparseOperator(2, 2, 2, F, lambda idx: {}).trace() == 0
 
 
 def _random_operator(rng, rank, dim, field, out_rank=None):
@@ -183,7 +183,7 @@ def _random_operator(rng, rank, dim, field, out_rank=None):
             out_idx = tuple(rng.randrange(dim) for _ in range(out_rank))
             col[out_idx] = field.from_int(rng.randint(-3, 3))
         cols[idx] = {k: v for k, v in col.items() if v != field.zero}
-    return SparseOperator.from_columns(rank, out_rank, dim, field, cols)
+    return SparseOperator(rank, out_rank, dim, field, lambda idx: cols.get(idx, {}))
 
 
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(11)])
@@ -259,7 +259,7 @@ def test_rank_mismatch_errors():
     with pytest.raises(ValueError):
         SparseOperator.identity(2, 2, F).compose(SparseOperator.identity(1, 2, F))
     with pytest.raises(ValueError):
-        SparseOperator.zero(1, 2, 2, F).trace()
+        SparseOperator(1, 2, 2, F, lambda idx: {}).trace()
 
 
 def test_prime_field_entries_stay_reduced():

@@ -110,7 +110,7 @@ def test_counit_compatibility_reported():
 
 def _sign_flipped_T(spec, flip):
     """Forward map with one term's sign flipped, built from the closed formula."""
-    from tsdlink.algebra import bracket2
+    from tsdlink.algebra import bracket
 
     field = spec.field
     one = field.one
@@ -133,7 +133,7 @@ def _sign_flipped_T(spec, flip):
         if j == 0 and k > 0:
             coeffs = spec.bracket_basis((i, k))
             return {(l,): field.mul(signs["bxz"], c) for l, c in coeffs.items()}
-        coeffs = bracket2(spec, bracket2(spec, ei, {j: one}), {k: one})
+        coeffs = bracket(spec, bracket(spec, ei, {j: one}), {k: one})
         return {(l,): field.mul(signs["nested"], c) for l, c in coeffs.items()}
 
     return SparseOperator(3, 1, dim, field, col)
