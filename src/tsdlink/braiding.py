@@ -3,18 +3,17 @@
 The braiding acts on two adjacent pairs (X^2)(x)(X^2): the last two inputs
 are comultiplied into three legs each, the first legs exit as the new
 leading pair, and the remaining legs feed two copies of the ternary map
-applied to the old leading pair.  The inverse runs the same layout through
-the reversing partner; the twist comultiplies both members of one pair and
-recombines them through two ternary maps.
+applied to the old leading pair.  The twist comultiplies both members of
+one pair and recombines them through two ternary maps.  Each is one word
+with a map m in the place of T (``_braiding_word``, ``_twist_word``); the
+inverses are the same words on the undo map of the reversing partner
+(``TsdPair.undoing``), the braiding inverse with the two pairs exchanged
+before and after.
 
 All four operators are materialized at construction and the inverse
 identities (braiding . inverse = identity, twist . twist-inverse =
 identity) are asserted then and there, so a wrong leg route fails fast
-instead of corrupting invariants downstream.  The leg routes of the
-inverse operators are path-dependent (see tsd module docstring): the
-reversing partner of the ternary path equals the map after a swap of its
-last two inputs, so its undo identities carry the outer legs in straight
-rather than reversed order.
+instead of corrupting invariants downstream.
 
 On X^(2n) a generator is one padded step (see the tensor module) over the
 table of a power of the braiding or the twist, which ``power`` memoizes
@@ -44,9 +43,6 @@ from .tensor import (
 )
 from .tsd import TsdPair, compare, make_tsd_pair
 
-_TWIST_ROUTE = "x1 x2 x3 y1 y2 y3 -> x1 x2 y2 y1 x3 y3"
-
-
 @dataclass(eq=False)
 class BraidingKit:
     pair: TsdPair
@@ -71,44 +67,44 @@ class BraidingKit:
 
 
 def _routed(pair: TsdPair, outer: list, route: str, inner: list) -> SparseOperator:
-    """(outer factors) . the leg layout route . (inner factors), materialized."""
+    """(outer factors) . the leg layout route . (inner factors), as a word."""
     perm = SparseOperator.permutation(layout(route), pair.dim, pair.field)
-    return compose_chain([tensor_chain(outer), perm, tensor_chain(inner)]).materialized()
+    return compose_chain([tensor_chain(outer), perm, tensor_chain(inner)])
 
 
-def build_braiding(pair: TsdPair) -> SparseOperator:
+def _braiding_word(pair: TsdPair, m: SparseOperator) -> SparseOperator:
+    """R with m in the place of T: (x, y, z, w) |-> (z1, w1, m(x, z2, w2), m(y, z3, w3))."""
     one1, d3 = SparseOperator.identity(1, pair.dim, pair.field), delta_op(3, pair.dim, pair.field)
     # the first legs of the last two inputs exit in front; the others pair up
     # with x and y for the two ternary-map factors
     route = "x y z1 z2 z3 w1 w2 w3 -> z1 w1 x z2 w2 y z3 w3"
-    return _routed(pair, [one1, one1, pair.op, pair.op], route, [one1, one1, d3, d3])
+    return _routed(pair, [one1, one1, m, m], route, [one1, one1, d3, d3])
+
+
+def _twist_word(pair: TsdPair, m: SparseOperator) -> SparseOperator:
+    """theta with m in the place of T: (x, y) |-> (m(x1, x2, y2), m(y1, x3, y3))."""
+    d3 = delta_op(3, pair.dim, pair.field)
+    return _routed(pair, [m, m], "x1 x2 x3 y1 y2 y3 -> x1 x2 y2 y1 x3 y3", [d3, d3])
+
+
+def build_braiding(pair: TsdPair) -> SparseOperator:
+    return _braiding_word(pair, pair.op).materialized()
 
 
 def build_braiding_inverse(pair: TsdPair) -> SparseOperator:
-    one1, d3 = SparseOperator.identity(1, pair.dim, pair.field), delta_op(3, pair.dim, pair.field)
-    # the outer legs in reversed order on the binary path, straight on the
-    # ternary path (see the tsd module docstring)
-    route = (
-        "x1 x2 x3 y1 y2 y3 z w -> z y2 x2 w y3 x3 x1 y1"
-        if pair.algebra.arity == 2
-        else "x1 x2 x3 y1 y2 y3 z w -> z x2 y2 w x3 y3 x1 y1"
-    )
-    op = _routed(pair, [pair.rev, pair.rev, one1, one1], route, [d3, d3, one1, one1])
+    # R with the undo map of T~, between two exchanges of the pairs
+    exchange = SparseOperator.permutation(layout("x y z w -> z w x y"), pair.dim, pair.field)
+    op = compose_chain([exchange, _braiding_word(pair, pair.undoing(pair.rev)), exchange]).materialized()
     _assert_inverse("braiding", build_braiding(pair), op)
     return op
 
 
 def build_twist(pair: TsdPair) -> SparseOperator:
-    d3 = delta_op(3, pair.dim, pair.field)
-    return _routed(pair, [pair.op, pair.op], _TWIST_ROUTE, [d3, d3])
+    return _twist_word(pair, pair.op).materialized()
 
 
 def build_twist_inverse(pair: TsdPair) -> SparseOperator:
-    d3 = delta_op(3, pair.dim, pair.field)
-    # binary path: its own leg layout; ternary path: the twist layout run
-    # through the reversing partner (the map after a swap, which undoes it)
-    route = "x1 x2 x3 y1 y2 y3 -> x1 y2 x2 y1 y3 x3" if pair.algebra.arity == 2 else _TWIST_ROUTE
-    op = _routed(pair, [pair.rev, pair.rev], route, [d3, d3])
+    op = _twist_word(pair, pair.undoing(pair.rev)).materialized()
     _assert_inverse("twist", build_twist(pair), op)
     return op
 

@@ -81,12 +81,6 @@ class SparseTensor:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def scaled(self, c) -> "SparseTensor":
-        if c == self.field.zero:
-            return SparseTensor(self.rank, {}, self.field)
-        mul = self.field.mul
-        return SparseTensor(self.rank, {k: mul(c, v) for k, v in self.entries.items()}, self.field)
-
     def plus(self, other: "SparseTensor") -> "SparseTensor":
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")

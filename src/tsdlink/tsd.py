@@ -19,12 +19,11 @@ all basis columns.  Sweedler bookkeeping is pinned by explicit leg routes;
 this is where implementations silently diverge, so each route is written
 once, as the labelled leg layout it encodes (``tensor.layout``).
 
-The slot order of the reversibility identity depends on the path: with
-the reversing partner applied outside, the binary path needs the legs of
-the outer pair in reversed order (..., z-leg, y-leg) while the ternary
-path needs straight order (..., y-leg, z-leg); the other order provably
-fails (it leaves a 2[x,y,z] residue).  The same per-path choice propagates
-to the braiding and twist inverses.
+A map undoes T through its undo map (``TsdPair.undoing``), the one place
+that knows the order in which a path peels its inputs.  Reversibility is
+the straight-order undo of T by T~ (and of T~ by T) through that map, and
+the braiding and twist inverses (``tsdlink.braiding``) are the forward
+constructions with the undo map of T~ in the place of T.
 """
 
 from __future__ import annotations
@@ -63,6 +62,17 @@ class TsdPair:
     @property
     def field(self):
         return self.algebra.field
+
+    def undoing(self, m: SparseOperator) -> SparseOperator:
+        """The map m with its last two inputs in the order that undoes T.
+
+        The binary T = q(q(x,y),z) is undone by peeling z, then y, so on the
+        binary path m takes them swapped.  On the ternary path that swap
+        leaves a 2[x,y,z] residue, and m takes them straight: it is m.
+        """
+        if self.algebra.arity == 3:
+            return m
+        return m.compose(SparseOperator.permutation(layout("x y z -> x z y"), self.dim, self.field))
 
 
 def _embed(coeffs: dict) -> dict:
@@ -188,16 +198,13 @@ def _identities(pair: TsdPair, which: set):
         # documents that
         expand2, target = tensor_chain([one1, d2, d2]), tensor_chain([one1, eps, eps])
         # def-legs feed the second legs to the inner map, proof-legs the first;
-        # the binary path takes the outer pair in reversed order (module docstring)
-        routes = (
-            ("x y1 y2 z1 z2 -> x y2 z2 z1 y1", "x y1 y2 z1 z2 -> x y1 z1 z2 y2")
-            if pair.algebra.arity == 2
-            else ("x y1 y2 z1 z2 -> x y2 z2 y1 z1", "x y1 y2 z1 z2 -> x y1 z1 y2 z2")
-        )
+        # the outer map takes the rest through the undo map (TsdPair.undoing)
+        routes = ("x y1 y2 z1 z2 -> x y2 z2 y1 z1", "x y1 y2 z1 z2 -> x y1 z1 y2 z2")
+        undos = (("rev.fwd", lhs(pair.undoing(rev), op)), ("fwd.rev", lhs(pair.undoing(op), rev)))
         for order, legs in zip(("def-legs", "proof-legs"), routes):
             perm = SparseOperator.permutation(layout(legs), dim, field)
-            for maps, outer, inner in (("rev.fwd", rev, op), ("fwd.rev", op, rev)):
-                yield f"reversibility[{maps},{order}]", compose_chain([lhs(outer, inner), perm, expand2]), target
+            for maps, undo in undos:
+                yield f"reversibility[{maps},{order}]", compose_chain([undo, perm, expand2]), target
     if "mixed" in which:
         # mixed distributivity, (x, y, z) reading: a(b(x,y,z), u, v) against b
         # outside and a distributed inside

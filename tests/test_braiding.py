@@ -17,8 +17,8 @@ from tsdlink.braiding import (
 )
 from tsdlink.braids import parse_braid_word
 from tsdlink.invariant import check_framed_braid_relations, trace_invariant
-from tsdlink.tensor import SparseOperator, compose_chain, iter_indices
-from tsdlink.tsd import TsdPair, build_T_tilde, compare
+from tsdlink.tensor import SparseOperator, compose_chain, delta_op, iter_indices, layout, tensor_chain
+from tsdlink.tsd import TsdPair, _identities, build_T_tilde, compare
 
 # frozen by the dense oracle (see test_oracle.py); basis order (b0, h, e, f)
 SL2_BRAIDING_COLUMN_2030 = {(3, 0, 2, 0): 1, (0, 0, 1, 0): 1}
@@ -298,3 +298,51 @@ def test_twist_inverse_standalone():
     identity = SparseOperator.identity(2, pair.dim, pair.field)
     assert twist.compose(twist_inv).diff_witness(identity) is None
     assert twist_inv.compose(twist).diff_witness(identity) is None
+
+
+# Each inverse and reversibility left side as a layout of its own per path:
+# on the binary path the outer map takes its last two inputs reversed, on the
+# ternary path straight.  The undo map builds the inverses from the forward
+# routes, so a wrong forward route gives a wrong pair that still inverts; a
+# few such routes pass every check of the sweep, and only independent
+# layouts like these (or the dense oracle) tell them apart.
+PER_PATH_LAYOUTS = {
+    2: {
+        "braiding-inverse": "x1 x2 x3 y1 y2 y3 z w -> z y2 x2 w y3 x3 x1 y1",
+        "twist-inverse": "x1 x2 x3 y1 y2 y3 -> x1 y2 x2 y1 y3 x3",
+        "def-legs": "x y1 y2 z1 z2 -> x y2 z2 z1 y1",
+        "proof-legs": "x y1 y2 z1 z2 -> x y1 z1 z2 y2",
+    },
+    3: {
+        "braiding-inverse": "x1 x2 x3 y1 y2 y3 z w -> z x2 y2 w x3 y3 x1 y1",
+        "twist-inverse": "x1 x2 x3 y1 y2 y3 -> x1 x2 y2 y1 x3 y3",
+        "def-legs": "x y1 y2 z1 z2 -> x y2 z2 y1 z1",
+        "proof-legs": "x y1 y2 z1 z2 -> x y1 z1 y2 z2",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["sl2", "nambu4"])
+def test_undo_map_constructions_match_the_per_path_layouts(name):
+    # R^-1, theta^-1 and the reversibility left sides built from TsdPair.undoing
+    # equal the per-path constructions column for column, in entry order
+    k = kit(name)
+    pair, dim, field = k.pair, k.dim, k.field
+    layouts = PER_PATH_LAYOUTS[pair.algebra.arity]
+    one1, d2, d3 = SparseOperator.identity(1, dim, field), delta_op(2, dim, field), delta_op(3, dim, field)
+
+    def routed(outer, text, inner):
+        perm = SparseOperator.permutation(layout(text), dim, field)
+        return compose_chain([tensor_chain(outer), perm, tensor_chain(inner)])
+
+    rev = pair.rev
+    braiding_inv = routed([rev, rev, one1, one1], layouts["braiding-inverse"], [d3, d3, one1, one1])
+    assert same_columns(braiding_inv, k.braiding_inv)
+    assert same_columns(routed([rev, rev], layouts["twist-inverse"], [d3, d3]), k.twist_inv)
+    expand2 = tensor_chain([one1, d2, d2])
+    sides = {label: lhs for label, lhs, _ in _identities(pair, {"reversibility"})}
+    assert len(sides) == 4
+    for order in ("def-legs", "proof-legs"):
+        for maps, outer, inner in (("rev.fwd", rev, pair.op), ("fwd.rev", pair.op, rev)):
+            lhs = routed([outer.compose(tensor_chain([inner, one1, one1]))], layouts[order], [expand2])
+            assert same_columns(lhs, sides[f"reversibility[{maps},{order}]"]), (maps, order)

@@ -87,3 +87,15 @@ def test_no_leg_route_is_written_as_numbers():
                 if all(isinstance(e, ast.Constant) and type(e.value) is int for e in node.elts):
                     routes.append((name, node.lineno))
     assert routes == []
+
+
+def test_braiding_reads_no_arity():
+    # the order in which a path undoes T is decided in TsdPair.undoing alone;
+    # the braiding builders take it from there and never branch on the arity
+    tree = ast.parse((SRC / "braiding.py").read_text(), "braiding.py")
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if "arity" in (getattr(node, "attr", None), getattr(node, "id", None))
+    ]
+    assert reads == []

@@ -178,6 +178,22 @@ def test_ternary_rev_is_forward_after_swap():
         assert same_columns(build_T_tilde(spec), build_T(spec).compose(swap)), field
 
 
+@pytest.mark.parametrize("name", ["sl2", "so3", "heisenberg3"])
+def test_undoing_swaps_the_last_two_inputs_on_the_binary_path(name):
+    # column (i, j, k) of the undo map is column (i, k, j) of the map, in entry order
+    pair = tsd_pair(name)
+    for m in (pair.op, pair.rev):
+        undo = pair.undoing(m)
+        for i, j, k in iter_indices(pair.dim, 3):
+            assert list(undo.column((i, j, k)).items()) == list(m.column((i, k, j)).items()), (i, j, k)
+
+
+def test_undoing_is_the_map_itself_on_the_ternary_path():
+    pair = tsd_pair("nambu4")
+    for m in (pair.op, pair.rev):
+        assert pair.undoing(m) is m
+
+
 def test_arity3_abelian_path():
     spec = builtin_algebra("abelian", dim=1, arity=3)
     pair = make_tsd_pair(spec)
