@@ -273,11 +273,14 @@ def load_algebra(document: dict) -> AlgebraSpec:
 
 
 def load_algebra_file(path) -> AlgebraSpec:
-    text = Path(path).read_text()
     try:
-        document = json.loads(text)
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise AlgebraError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
     except json.JSONDecodeError as e:
         raise AlgebraError(f"{path}: invalid JSON ({e})") from None
+    except RecursionError:
+        raise AlgebraError(f"{path}: invalid JSON (nested deeper than the parser recurses)") from None
     except ValueError:  # an integer with more digits than sys.get_int_max_str_digits()
         raise AlgebraError(f"{path}: number too long: an integer has more digits than Python converts") from None
     return load_algebra(document)
@@ -307,7 +310,7 @@ def dump_algebra(spec: AlgebraSpec) -> dict:
 def bundled_document(filename: str) -> dict | None:
     """The parsed bundled document ``algebras/<filename>``, or None when there is none."""
     path = resources.files("tsdlink").joinpath("algebras").joinpath(filename)
-    return json.loads(path.read_text()) if path.is_file() else None
+    return json.loads(path.read_text(encoding="utf-8")) if path.is_file() else None
 
 
 def builtin_algebra(name: str, dim: int | None = None, arity: int = 2, field: Field | None = None) -> AlgebraSpec:

@@ -5,8 +5,9 @@ arguments are JSON files; a bare name (sl2, so3, heisenberg3, nambu4,
 abelian1, abelian2), with or without .json, that names no file falls back
 to the bundled documents, and a path with a directory part never does.
 `selftest` is `check --property all` on each bundled document, plus a
-Markov trial of the sl2 trefoil.  Exit codes: 0 success / all checks pass, 1 check
-failure, 2 usage or input error.
+Markov trial of the sl2 trefoil.  Each command returns its report and
+`run_cli` alone times it, renders it as text or JSON and picks the exit code:
+0 success / all checks pass, 1 check failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ CHECK_PROPERTIES = (*_NARROW, "all")
 # the bundled documents, in the order selftest reports them (by dimension)
 SELFTEST_ALGEBRAS = ("abelian1", "abelian2", "heisenberg3", "so3", "sl2", "nambu4")
 
+# what a command returns for run_cli to render: (passed, text lines, failure records, value or None)
+_Report = tuple[bool, list[str], list[dict], str | None]
+
 
 class CliError(Exception):
     """A usage or input error, reported as one line with exit code 2."""
@@ -81,25 +85,26 @@ def _framing(entry: str, framings: str) -> int:
         raise CliError(f"bad --framings {framings!r}: need comma-separated integers") from None
 
 
-def _parse_word(args) -> FramedBraidWord:
+def _kit_and_word(args) -> tuple[BraidingKit, FramedBraidWord]:
+    """The braiding kit and the framed word, each refused before it is built when too large to use."""
+    spec = _resolve_algebra(args.algebra)
+    dim, limit = spec.dim + 1, getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and 2 * args.strands * (dim.bit_length() - 1) >= 4 * limit:  # dim^(2n) >= 2^(4L) > 10^L
+        raise DimensionCapError(
+            f"operator dimension {dim}^{2 * args.strands} has more than {limit} digits, more than Python prints"
+        )
     word = parse_braid_word(args.word, args.strands)
     if args.framings:
         override = tuple(_framing(f, args.framings) for f in args.framings.split(","))
         if len(override) != args.strands:
             raise CliError(f"--framings needs {args.strands} entries, got {len(override)}")
         word = FramedBraidWord(word.strands, override, word.letters)
-    return word
-
-
-def _capped_kit(spec: AlgebraSpec, cap: int) -> BraidingKit:
-    """The braiding kit, refused before it is built when R on X^4 has more than cap columns."""
-    dim = spec.dim + 1
-    if dim**4 > cap:
+    if dim**4 > args.cap:  # R on X^4 has dim^4 columns
         raise DimensionCapError(
-            f"kit build needs the braiding on {dim}^4 columns, which exceeds cap {cap}; "
+            f"kit build needs the braiding on {dim}^4 columns, which exceeds cap {args.cap}; "
             "use a smaller algebra or a larger --cap"
         )
-    return make_braiding_kit(spec)
+    return make_braiding_kit(spec), word
 
 
 def _failure_payload(report: ValidationReport) -> list[dict]:
@@ -109,26 +114,9 @@ def _failure_payload(report: ValidationReport) -> list[dict]:
     ]
 
 
-def _emit(args, command, passed, lines, failures, value, started, out) -> int:
-    timing_ms = int((time.monotonic() - started) * 1000)
-    if args.format == "json":
-        payload = {"command": command, "passed": passed, "failures": failures, "timing_ms": timing_ms}
-        if value is not None:
-            payload["value"] = value
-        print(json.dumps(payload), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
-        if value is not None:
-            print(f"value: {value}", file=out)
-    return 0 if passed else 1
-
-
-def _cmd_validate(args, out) -> int:
-    started = time.monotonic()
-    spec = _resolve_algebra(args.algebra)
-    report = validate_algebra(spec)
-    return _emit(args, "validate", report.passed, report.lines(), _failure_payload(report), None, started, out)
+def _cmd_validate(args) -> _Report:
+    report = validate_algebra(_resolve_algebra(args.algebra))
+    return report.passed, report.lines(), _failure_payload(report), None
 
 
 def _sweep(spec: AlgebraSpec, prop: str) -> tuple[list[tuple[str, ValidationReport]], BraidingKit | None]:
@@ -151,8 +139,7 @@ def _sweep(spec: AlgebraSpec, prop: str) -> tuple[list[tuple[str, ValidationRepo
     return reports, kit
 
 
-def _cmd_check(args, out) -> int:
-    started = time.monotonic()
+def _cmd_check(args) -> _Report:
     spec = _resolve_algebra(args.algebra)
     if args.property == "jacobi" and spec.arity != 2:
         raise CliError("jacobi applies to arity-2 algebras")
@@ -160,36 +147,27 @@ def _cmd_check(args, out) -> int:
         raise CliError("filippov applies to arity-3 algebras")
     reports, _ = _sweep(spec, args.property)
     report = ValidationReport([r for _, part in reports for r in part.results])
-    return _emit(args, "check", report.passed, report.lines(), _failure_payload(report), None, started, out)
+    return report.passed, report.lines(), _failure_payload(report), None
 
 
-def _cmd_invariant(args, out) -> int:
-    started = time.monotonic()
-    spec = _resolve_algebra(args.algebra)
-    word = _parse_word(args)
-    kit = _capped_kit(spec, args.cap)
-    result = trace_invariant(kit, word)
+def _cmd_invariant(args) -> _Report:
+    result = trace_invariant(*_kit_and_word(args))
     lines = [
         f"algebra: {result.algebra}",
         f"word: {result.word.word_text() or '(empty)'}",
         f"framings: {','.join(map(str, result.word.framings))}",
         f"operator dimension: {result.operator_dim}",
     ]
-    return _emit(args, "invariant", True, lines, [], result.value_text, started, out)
+    return True, lines, [], result.value_text
 
 
-def _cmd_markov(args, out) -> int:
-    started = time.monotonic()
+def _cmd_markov(args) -> _Report:
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     if args.moves < 0:
         raise CliError(f"--moves must be >= 0, got {args.moves}")
-    spec = _resolve_algebra(args.algebra)
-    word = _parse_word(args)
-    kit = _capped_kit(spec, args.cap)
     report = markov_report(
-        kit,
-        word,
+        *_kit_and_word(args),
         trials=args.trials,
         seed=args.seed,
         moves=args.moves,
@@ -202,11 +180,10 @@ def _cmd_markov(args, out) -> int:
             for t in report.trials
             if not t.equal
         )
-    return _emit(args, "markov", report.passed, report.lines(), failures, report.base.value_text, started, out)
+    return report.passed, report.lines(), failures, report.base.value_text
 
 
-def _cmd_selftest(args, out) -> int:
-    started = time.monotonic()
+def _cmd_selftest(args) -> _Report:
     rows = []  # ((phase, n), label, report): every validation, every TSD sweep, then the kit families per algebra
     # Largest algebra first: nambu4's TSD sweep, the peak of selftest, then runs before the smaller
     # kits add their shapes to the per-shape key codecs (tensor._codec).  No kit outlives its sweep.
@@ -224,7 +201,7 @@ def _cmd_selftest(args, out) -> int:
     lines.append(f"markov sl2 trefoil: {trefoil.verdict()}")
     if not trefoil.all_equal:
         failures.append({"check": "markov", "witness": "sl2 trefoil", "residual": "trace drift"})
-    return _emit(args, "selftest", not failures, lines, failures, None, started, out)
+    return not failures, lines, failures, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,24 +221,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", choices=CHECK_PROPERTIES, default="all")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("invariant", help="trace invariant of a framed braid word")
-    p.add_argument("algebra")
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--framings", default="")
-    p.add_argument("--cap", type=int, default=10**6, help="refuse kits with more than CAP braiding columns, (d+1)^4")
+    shared = argparse.ArgumentParser(add_help=False)  # the arguments invariant and markov share
+    shared.add_argument("algebra")
+    shared.add_argument("--strands", type=int, required=True)
+    shared.add_argument("--word", required=True)
+    shared.add_argument("--framings", default="")
+    shared.add_argument(
+        "--cap", type=int, default=10**6, help="refuse kits with more than CAP braiding columns, (d+1)^4"
+    )
+
+    p = sub.add_parser("invariant", parents=[shared], help="trace invariant of a framed braid word")
     p.set_defaults(func=_cmd_invariant)
 
-    p = sub.add_parser("markov", help="seeded rewriting trials with trace comparison")
-    p.add_argument("algebra")
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--framings", default="")
+    p = sub.add_parser("markov", parents=[shared], help="seeded rewriting trials with trace comparison")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--moves", type=int, default=6)
     p.add_argument("--stabilize", choices=("off", "plain", "compensated"), default="off")
-    p.add_argument("--cap", type=int, default=10**6, help="refuse kits with more than CAP braiding columns, (d+1)^4")
     p.set_defaults(func=_cmd_markov)
 
     p = sub.add_parser("selftest", help="run the bundled-algebra verification sweep")
@@ -277,11 +253,23 @@ def run_cli(argv: list[str], out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    started = time.monotonic()
     try:
-        return args.func(args, out)
+        passed, lines, failures, value = args.func(args)
     except (CliError, AlgebraError, BraidSyntaxError, FieldError, DimensionCapError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        timing_ms = int((time.monotonic() - started) * 1000)
+        payload = {"command": args.command, "passed": passed, "failures": failures, "timing_ms": timing_ms}
+        if value is not None:
+            payload["value"] = value
+        lines = [json.dumps(payload)]
+    elif value is not None:
+        lines = [*lines, f"value: {value}"]
+    for line in lines:
+        print(line, file=out)
+    return 0 if passed else 1
 
 
 def main() -> None:

@@ -291,6 +291,16 @@ def test_inverse_assertion_failure_message():
         build_braiding_inverse(pair)
 
 
+def test_kit_build_scans_one_inverse_identity_per_generator(monkeypatch):
+    # inverse . forward = identity is asserted once for R and once for theta; over a field a
+    # square left inverse is a right inverse, so the other order is never scanned
+    calls = []
+    original = SparseOperator.diff_witness
+    monkeypatch.setattr(SparseOperator, "diff_witness", lambda self, other: calls.append(1) or original(self, other))
+    braiding_module.make_braiding_kit(tsd_pair("sl2"))
+    assert len(calls) == 2
+
+
 def test_twist_inverse_standalone():
     pair = tsd_pair("so3")
     twist = build_twist(pair)

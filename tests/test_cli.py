@@ -86,6 +86,22 @@ def test_malformed_json_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"\xff\xfe", "not UTF-8 (invalid start byte at byte 0)"),
+        (("[" * 100000 + "]" * 100000).encode(), "invalid JSON (nested deeper than the parser recurses)"),
+    ],
+    ids=["not-utf8", "nested-100000-deep"],
+)
+def test_unreadable_algebra_file_is_one_line(content, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, text = run(["validate", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_malformed_brackets_are_usage_errors(tmp_path, capsys):
     from tsdlink.algebra import builtin_algebra, dump_algebra
 
@@ -287,6 +303,11 @@ def _too_long(name):
             ["markov", "nambu4", "--strands", "3100", "--word", "", "--trials", "1"],
             _too_long("operator dimension 5^6200"),
         ),
+        (["invariant", "sl2", "--strands", str(10**20), "--word", ""], _too_long(f"operator dimension 4^{2 * 10**20}")),
+        (
+            ["markov", "nambu4", "--strands", str(10**20), "--word", "s1", "--trials", "1"],
+            _too_long(f"operator dimension 5^{2 * 10**20}"),
+        ),
         (["invariant", "sl2", "--strands", "1", "--word", TWO_4300_DIGIT_TWISTS], _too_long("a framing")),
         (
             ["markov", "sl2", "--strands", "1", "--word", TWO_4300_DIGIT_TWISTS, "--trials", "1"],
@@ -312,6 +333,8 @@ def _too_long(name):
     ids=[
         "invariant-3572-strands",
         "markov-3100-strands",
+        "invariant-10^20-strands",
+        "markov-10^20-strands",
         "invariant-framing-sum",
         "markov-framing-sum",
         "crossing-exponent",
@@ -321,7 +344,8 @@ def _too_long(name):
     ],
 )
 def test_cap_error_past_the_int_str_limit_is_one_line(argv, message, capsys):
-    # each number has more than 4,300 digits: one line on stderr, no traceback
+    # each number has more than 4,300 digits: one line on stderr, no traceback; a strand
+    # count far past the limit is refused before its word (a tuple per strand) is built
     code, text = run(argv)
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -386,6 +410,26 @@ def test_json_format_round_trips():
     assert payload["passed"] is True
     assert isinstance(payload["timing_ms"], int)
     assert RATIONALS.parse(payload["value"]) == 81
+
+
+REPORT_KEYS = ["command", "passed", "failures", "timing_ms"]
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (["validate", "abelian2"], REPORT_KEYS),
+        (["check", "abelian1", "--property", "all"], REPORT_KEYS),
+        (["invariant", "abelian2", "--strands", "2", "--word", "s1"], [*REPORT_KEYS, "value"]),
+        (["markov", "abelian1", "--strands", "2", "--word", "s1", "--trials", "2"], [*REPORT_KEYS, "value"]),
+    ],
+    ids=["validate", "check", "invariant", "markov"],
+)
+def test_json_keys_in_report_order(argv, keys):
+    # run_cli renders every command's report as one JSON object with the same keys in one order
+    code, text = run(["--format", "json", *argv])
+    payload = json.loads(text)
+    assert (code, list(payload), payload["command"], text.count("\n")) == (0, keys, argv[0], 1)
 
 
 def test_json_format_check():

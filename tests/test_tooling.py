@@ -99,3 +99,18 @@ def test_braiding_reads_no_arity():
         if "arity" in (getattr(node, "attr", None), getattr(node, "id", None))
     ]
     assert reads == []
+
+
+def test_commands_return_their_report_and_run_cli_renders_it():
+    # a _cmd_* function of the CLI neither prints, nor writes to a stream, nor reads the clock,
+    # nor formats JSON: run_cli times, renders and picks the exit code for every command
+    tree = ast.parse((SRC / "cli.py").read_text(), "cli.py")
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(commands) == 5
+    refs = [
+        (command.name, node.lineno)
+        for command in commands
+        for node in ast.walk(command)
+        if {getattr(node, "id", None), getattr(node, "arg", None)} & {"print", "out", "time", "json"}
+    ]
+    assert refs == []
