@@ -8,12 +8,13 @@ one pair and recombines them through two ternary maps.  Each is one word
 with a map m in the place of T (``_braiding_word``, ``_twist_word``); the
 inverses are the same words on the undo map of the reversing partner
 (``TsdPair.undoing``), the braiding inverse with the two pairs exchanged
-before and after.
+before and after.  A kit (``BraidingKit``) is the TSD pair it is built
+from, with these four operators.
 
 All four operators are materialized at construction and one inverse
 identity per generator (braiding-inverse . braiding = identity,
-twist-inverse . twist = identity) is asserted then and there, so a wrong
-leg route fails fast instead of corrupting invariants downstream.  The
+twist-inverse . twist = identity) is asserted then and there, so a route
+that breaks invertibility fails fast instead of corrupting invariants.  The
 other side needs no scan: each operator is a square matrix over a field,
 and a left inverse of a square matrix is also its right inverse.
 
@@ -21,8 +22,9 @@ On X^(2n) a generator is one padded step (see the tensor module) over the
 table of a power of the braiding or the twist, which ``power`` memoizes
 once per kit under its name and exponent; nothing is stored for the other
 legs.  The leg permutation of each table, its degree-preserving part, is
-extracted by the first trace that uses it, which asserts the filtration
-that ``check_braiding`` reports as ``filtration``.  A braid word is one
+read by the first trace that uses it, in one scan of the table's columns
+(``leg_permutation``) that asserts it; ``check_braiding`` reports the
+same scan of each generator as ``filtration``.  A braid word is one
 word of padded steps (``word_operator``), and every kit identity is a pair
 of braid words (``relation``), compared once per kit.
 """
@@ -35,9 +37,10 @@ from functools import lru_cache, partial
 from .algebra import AlgebraSpec, CheckResult, ValidationReport
 from .braids import parse_braid_word
 from .tensor import (
+    GradingError,
     SparseOperator,
     compose_chain,
-    degree_raise,
+    counit_op,
     delta_op,
     layout,
     leg_permutation,
@@ -46,26 +49,15 @@ from .tensor import (
 from .tsd import TsdPair, compare, make_tsd_pair
 
 @dataclass(eq=False)
-class BraidingKit:
-    pair: TsdPair
+class BraidingKit(TsdPair):
+    """A TSD pair with the braiding, the twist and their inverses that it builds."""
+
     braiding: SparseOperator       # X^4 -> X^4
     braiding_inv: SparseOperator   # X^4 -> X^4
     twist: SparseOperator          # X^2 -> X^2
     twist_inv: SparseOperator      # X^2 -> X^2
     # memo keyed ("pow", name, e), ("perm", name, e) and ("relation", n, lhs, rhs)
     cache: dict = dataclass_field(default_factory=dict, repr=False)
-
-    @property
-    def algebra(self) -> AlgebraSpec:
-        return self.pair.algebra
-
-    @property
-    def dim(self) -> int:
-        return self.pair.dim
-
-    @property
-    def field(self):
-        return self.pair.field
 
 
 def _routed(pair: TsdPair, outer: list, route: str, inner: list) -> SparseOperator:
@@ -125,7 +117,7 @@ def _assert_inverse(name: str, forward: SparseOperator, backward: SparseOperator
 def make_braiding_kit(source: AlgebraSpec | TsdPair) -> BraidingKit:
     pair = source if isinstance(source, TsdPair) else make_tsd_pair(source)
     return BraidingKit(
-        pair,
+        pair.algebra, pair.op, pair.rev,
         build_braiding(pair),
         build_braiding_inverse(pair),
         build_twist(pair),
@@ -216,21 +208,25 @@ def _letters(text: str, n: int) -> tuple:
 
 
 def _check_filtration(kit: BraidingKit) -> CheckResult:
-    """R, R^-1, theta and theta^-1 never raise the L-degree (what the trace asserts in leg_permutation)."""
+    """R, R^-1, theta and theta^-1 are filtered with gr a leg permutation: what the trace asserts (leg_permutation)."""
     generators = (kit.braiding, kit.braiding_inv, kit.twist, kit.twist_inv)
     for label, op in zip(("braiding", "braiding-inverse", "twist", "twist-inverse"), generators):
-        if witness := degree_raise(op):
-            return CheckResult("filtration", False, label, witness, {witness[1]: op.column(witness[0])[witness[1]]})
+        try:
+            leg_permutation(op)
+        except GradingError as e:
+            return CheckResult("filtration", False, label, e.witness, e.residual)
     return CheckResult("filtration", True, f"{sum(op.dim ** op.in_rank for op in generators)} columns")
 
 
 def check_braiding(kit: BraidingKit) -> ValidationReport:
-    """Braid equation, inverse identities, filtration, slide identities, far commutation.
+    """Braid equation, inverse identities, filtration, slide identities, far commutation, counit projections.
 
     Far commutation on X^8 swaps steps on disjoint legs; ``diff_witness``
     proves it per leg without a key.  The filtration check asserts what the
-    trace relies on: each generator is its degree-preserving part plus
-    terms of strictly lower L-degree.
+    trace relies on: each generator is its degree-preserving part, a leg
+    permutation, plus terms of strictly lower L-degree.  The counit
+    projections tie R and theta to words of T: a wrong route in R or theta
+    fails them even when its undo map builds a matching inverse.
     """
     report = ValidationReport()
     report.add(relation(kit, "ybe", 3, "s1 s2 s1", "s2 s1 s2"))
@@ -240,4 +236,13 @@ def check_braiding(kit: BraidingKit) -> ValidationReport:
     report.add(relation(kit, "slide-under", 2, "s1 t1", "t2 s1"))
     report.add(relation(kit, "slide-over", 2, "s1 t2", "t1 s1"))
     report.add(relation(kit, "far-commutation", 4, "s1 s3", "s3 s1"))
+    dim, field, op = kit.dim, kit.field, kit.op
+    one1, d2, eps = SparseOperator.identity(1, dim, field), delta_op(2, dim, field), counit_op(dim, field)
+    back, front = tensor_chain([one1, one1, eps, eps]), tensor_chain([eps, eps, one1, one1])
+    t_pair = _routed(kit, [op, op], "x y z1 z2 w1 w2 -> x z1 w1 y z2 w2", [one1, one1, d2, d2])
+    report.add(compare("braiding-counit[back]", back.compose(kit.braiding), front))
+    report.add(compare("braiding-counit[front]", front.compose(kit.braiding), t_pair))
+    t_first, t_second = _routed(kit, [op], "x y1 y2 -> y1 x y2", [one1, d2]), op.compose(tensor_chain([d2, one1]))
+    report.add(compare("twist-counit[first]", tensor_chain([eps, one1]).compose(kit.twist), t_first))
+    report.add(compare("twist-counit[second]", tensor_chain([one1, eps]).compose(kit.twist), t_second))
     return report

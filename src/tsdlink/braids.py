@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, NamedTuple
 
@@ -65,6 +66,8 @@ def parse_braid_word(text: str, strands: int) -> FramedBraidWord:
     """Parse a word; twist letters are kept in sequence (not yet normalized)."""
     if strands < 1:
         raise BraidSyntaxError(f"strand count must be >= 1, got {strands}")
+    if strands > sys.maxsize:  # not formatted: it may have more digits than Python prints
+        raise BraidSyntaxError("strand count is larger than a tuple can hold")
     letters: list[Letter] = []
     pos = 0
     for token in text.split():

@@ -40,7 +40,7 @@ from .invariant import (
 from .tsd import check_tsd_properties, make_tsd_pair
 
 # the one check family a narrower property runs, and the TSD checks it names
-# or the braiding lines it keeps (None: the whole family)
+# or the braiding lines it keeps, by name before any "[" (None: the whole family)
 _NARROW = {
     "jacobi": ("validate", None),
     "filippov": ("validate", None),
@@ -48,7 +48,8 @@ _NARROW = {
     "coalgebra": ("tsd properties", ("coalgebra-morphism",)),
     "reversibility": ("tsd properties", ("reversibility",)),
     "mixed": ("tsd properties", ("mixed",)),
-    "ybe": ("braiding", ("ybe", "braiding-invertible", "twist-invertible", "filtration", "far-commutation")),
+    "ybe": ("braiding", ("ybe", "braiding-invertible", "twist-invertible", "filtration", "far-commutation",
+                         "braiding-counit", "twist-counit")),
     "slide": ("braiding", ("slide-under", "slide-over")),
     "fb-relations": ("framed braid relations", None),
 }
@@ -132,8 +133,8 @@ def _sweep(spec: AlgebraSpec, prop: str) -> tuple[list[tuple[str, ValidationRepo
         return reports, None
     kit = make_braiding_kit(pair)
     if family in ("braiding", "all"):
-        report = ValidationReport([r for r in check_braiding(kit).results if not names or r.name in names])
-        reports.append(("braiding", report))
+        kept = [r for r in check_braiding(kit).results if not names or r.name.split("[")[0] in names]
+        reports.append(("braiding", ValidationReport(kept)))
     if family in ("framed braid relations", "all"):
         reports.append(("framed braid relations", check_framed_braid_relations(kit)))
     return reports, kit

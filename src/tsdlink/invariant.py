@@ -39,7 +39,6 @@ class InvariantResult:
     value_text: str
     algebra: str
     word: FramedBraidWord
-    strands: int
     operator_dim: int
 
 
@@ -76,7 +75,6 @@ def trace_invariant(kit: BraidingKit, word: FramedBraidWord) -> InvariantResult:
         value_text=kit.field.render(value),
         algebra=kit.algebra.name,
         word=word,
-        strands=word.strands,
         operator_dim=operator_dim,
     )
 

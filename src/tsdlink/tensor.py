@@ -41,8 +41,9 @@ zero-leg step are scanned.
 A braid generator on X^(2n) is one step of the kit's table on the legs of
 its strands (``padded``), marked with its first leg and a memoized
 extractor of its ``leg_permutation``, the degree-preserving part of the
-table (see ``degree_raise``).  The trace of a word whose every step is
-marked reads no entry: it is dim ** (cycles of the composite permutation).
+table, asserted by one scan of its columns.  The trace of a word whose
+every step is marked reads no entry: it is dim ** (cycles of the composite
+permutation).
 
 Permutations act in the push convention: applying ``perm`` routes input
 factor i to output slot perm[i] (0-based), and ``_push`` is the one function
@@ -485,29 +486,23 @@ def compose_chain(ops: Iterable[SparseOperator]) -> SparseOperator:
     return _word(word[0].in_rank, ops[0].out_rank, ops[0].dim, ops[0].field, steps, perms)
 
 
-def degree_raise(op: SparseOperator):
-    """The first (column, output) of op that raises the L-degree, or None.
+class GradingError(RuntimeError):
+    """A generator that is not filtered with gr a leg permutation: a construction bug, with its witness and residual."""
 
-    The L-degree of a basis tuple is its number of nonzero indices.  Without
-    such an entry op is filtered: gr(op), its degree-preserving part, plus
-    terms of lower degree.
-    """
-    for idx in iter_indices(op.dim, op.in_rank):
-        for out in op.column(idx):
-            if out.count(0) < idx.count(0):
-                return idx, out
-    return None
+    def __init__(self, message: str, witness, residual=None):
+        super().__init__(f"construction bug: {message}")
+        self.witness, self.residual = witness, residual
 
 
 def leg_permutation(base: SparseOperator) -> tuple:
     """gr(base), the degree-preserving part of a square operator, as a leg permutation.
 
-    The permutation (push convention) is read off the columns with index 1
-    on one leg.  A base that raises the L-degree, or whose gr is not that
-    permutation with unit coefficients in every column, is a construction bug.
+    The L-degree of a basis tuple is its number of nonzero indices.  The
+    permutation (push convention) is read off the columns with index 1 on
+    one leg; then one scan of every column asserts that base is filtered
+    (no output of higher L-degree) and that gr(base) is that permutation
+    with unit coefficients.  Anything else is a construction bug.
     """
-    if witness := degree_raise(base):
-        raise RuntimeError(f"construction bug: column {witness[0]} has output {witness[1]} of higher L-degree")
     rank, one = base.in_rank, base.field.one
     perm = []
     for leg in range(rank):
@@ -515,16 +510,16 @@ def leg_permutation(base: SparseOperator) -> tuple:
         # None: not one output, with index 1 on one leg
         perm.append(outs[0].index(1) if len(outs) == 1 and 1 in outs[0] else None)
     if set(perm) != set(range(rank)):
-        raise RuntimeError(
-            f"construction bug: the one-leg columns of gr give slots {tuple(perm)}, not a leg permutation"
-        )
+        raise GradingError(f"the one-leg columns of gr give slots {tuple(perm)}, not a leg permutation", tuple(perm))
     push = _push(perm, rank)
     for idx in iter_indices(base.dim, rank):
-        gr = {out: v for out, v in base.column(idx).items() if out.count(0) == idx.count(0)}
+        column, zeros = base.column(idx), idx.count(0)
+        if up := next((out for out in column if out.count(0) < zeros), None):
+            raise GradingError(f"column {idx} has output {up} of higher L-degree", (idx, up), {up: column[up]})
+        gr = {out: v for out, v in column.items() if out.count(0) == zeros}
         if gr != {push(idx): one}:
-            raise RuntimeError(
-                f"construction bug: column {idx} has degree-preserving part {gr}, not leg permutation {tuple(perm)}"
-            )
+            message = f"column {idx} has degree-preserving part {gr}, not leg permutation {tuple(perm)}"
+            raise GradingError(message, idx, gr)
     return tuple(perm)
 
 

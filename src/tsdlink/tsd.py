@@ -46,14 +46,13 @@ from .tensor import (
 INTERLEAVE_9 = layout("x y z u1 u2 u3 v1 v2 v3 -> x u1 v1 y u2 v2 z u3 v3")
 
 
-@dataclass
+@dataclass(eq=False)
 class TsdPair:
-    """A validated algebra with its ternary map and reversing partner."""
+    """A validated algebra with its ternary map and reversing partner; compared by identity."""
 
     algebra: AlgebraSpec
     op: SparseOperator        # X^3 -> X
     rev: SparseOperator       # X^3 -> X
-    path: str                 # "binary-composed" | "ternary"
 
     @property
     def dim(self) -> int:
@@ -140,8 +139,7 @@ def build_q(spec: AlgebraSpec) -> SparseOperator:
 
 def make_tsd_pair(spec: AlgebraSpec) -> TsdPair:
     ensure_validated(spec)
-    path = "binary-composed" if spec.arity == 2 else "ternary"
-    return TsdPair(spec, build_T(spec), build_T_tilde(spec), path)
+    return TsdPair(spec, build_T(spec), build_T_tilde(spec))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import re
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import BUNDLED, algebra, kit, padded_reference, same_columns, tsd_pair
 from tsdlink import braiding as braiding_module
 from tsdlink.braiding import (
+    BraidingKit,
     build_braiding,
     build_braiding_inverse,
     build_twist,
@@ -16,8 +18,17 @@ from tsdlink.braiding import (
     power,
 )
 from tsdlink.braids import parse_braid_word
+from tsdlink.cli import run_cli
 from tsdlink.invariant import check_framed_braid_relations, trace_invariant
-from tsdlink.tensor import SparseOperator, compose_chain, delta_op, iter_indices, layout, tensor_chain
+from tsdlink.tensor import (
+    SparseOperator,
+    compose_chain,
+    delta_op,
+    iter_indices,
+    layout,
+    leg_permutation,
+    tensor_chain,
+)
 from tsdlink.tsd import TsdPair, _identities, build_T_tilde, compare
 
 # frozen by the dense oracle (see test_oracle.py); basis order (b0, h, e, f)
@@ -193,16 +204,18 @@ def _swap_e_f_outputs(columns):
 
 
 @pytest.mark.parametrize(
-    "tamper,column",
+    "tamper,column,residual",
     [
-        (lambda columns: columns.update({(0, 0, 0, 0): {(0, 0, 0, 0): 2}}), (0, 0, 0, 0)),
-        (_swap_e_f_outputs, (0, 0, 0, 2)),
+        (lambda columns: columns.update({(0, 0, 0, 0): {(0, 0, 0, 0): 2}}), (0, 0, 0, 0), {(0, 0, 0, 0): 2}),
+        (_swap_e_f_outputs, (0, 0, 0, 2), {(0, 3, 0, 0): 1}),
     ],
     ids=["coefficient-2", "key-permutation"],
 )
-def test_filtered_braiding_whose_gr_is_no_leg_permutation_blocks_the_trace(tamper, column):
+def test_filtered_braiding_whose_gr_is_no_leg_permutation_blocks_the_trace(tamper, column, residual):
+    # the filtration line fails on the column the trace refuses, with gr of that column as residual
     tampered = _tampered_braiding(make_braiding_kit(tsd_pair("sl2")), tamper)
-    assert [r.ok for r in check_braiding(tampered).results if r.name == "filtration"] == [True]
+    result = [r for r in check_braiding(tampered).results if r.name == "filtration"]
+    assert [(r.ok, r.detail, r.witness, r.residual) for r in result] == [(False, "braiding", column, residual)]
     with pytest.raises(RuntimeError, match=rf"construction bug: column {re.escape(str(column))} has degree-preserving"):
         trace_invariant(tampered, parse_braid_word("s1", 2))
 
@@ -211,7 +224,8 @@ def test_filtered_braiding_whose_one_leg_columns_give_no_leg_permutation_blocks_
     # gr maps (0,0,0,1) to (0,2,0,0): no leg of the permutation for the last leg
     k = make_braiding_kit(tsd_pair("sl2"))
     tampered = _tampered_braiding(k, lambda columns: columns.update({(0, 0, 0, 1): {(0, 2, 0, 0): 1}}))
-    assert [r.ok for r in check_braiding(tampered).results if r.name == "filtration"] == [True]
+    result = [r for r in check_braiding(tampered).results if r.name == "filtration"]
+    assert [(r.ok, r.detail, r.witness, r.residual) for r in result] == [(False, "braiding", (2, 3, 0, None), None)]
     message = "construction bug: the one-leg columns of gr give slots (2, 3, 0, None), not a leg permutation"
     with pytest.raises(RuntimeError, match=re.escape(message)):
         trace_invariant(tampered, parse_braid_word("s1", 2))
@@ -254,7 +268,7 @@ def _tampered_pair(name, flip="nested"):
             return base
 
         bad_T = SparseOperator(3, 1, spec.dim + 1, field, col)
-    return TsdPair(spec, bad_T, build_T_tilde(spec), "tampered")
+    return TsdPair(spec, bad_T, build_T_tilde(spec))
 
 
 @pytest.mark.parametrize(
@@ -301,6 +315,56 @@ def test_kit_build_scans_one_inverse_identity_per_generator(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_kit_is_its_tsd_pair_and_hashes_by_identity():
+    pair = tsd_pair("sl2")
+    k = make_braiding_kit(pair)
+    assert isinstance(k, TsdPair) and (k.algebra, k.op, k.rev) == (pair.algebra, pair.op, pair.rev)
+    assert [name for name, value in vars(BraidingKit).items() if isinstance(value, property)] == []
+    twin = dataclasses.replace(k)
+    assert twin != k and len({k, twin, k}) == 2
+    assert make_braiding_kit(k).op is k.op  # a kit is a pair a kit can be built from
+
+
+@pytest.mark.parametrize("name", ["sl2", "nambu4"])
+def test_leg_permutation_reads_each_column_once(name, monkeypatch):
+    # the four one-leg columns give the permutation; one scan then asserts filtration and gr together
+    k, reads = kit(name), []
+    column = SparseOperator.column
+    monkeypatch.setattr(SparseOperator, "column", lambda self, idx: reads.append(idx) or column(self, idx))
+    assert leg_permutation(k.braiding) == (2, 3, 0, 1)
+    assert len(reads) == k.dim**4 + 4 and len(set(reads)) == k.dim**4
+
+
+# (algebra, route, swapped entries, failing lines): a route of R or theta with two entries
+# swapped that the kit build, the inverse identities and the framed-braid relations accept,
+# since the undo map builds a matching inverse; the counit projections tie it back to T
+TWIST_ROUTE = "x1 x2 x3 y1 y2 y3 -> x1 x2 y2 y1 x3 y3"
+BRAIDING_ROUTE = "x y z1 z2 z3 w1 w2 w3 -> z1 w1 x z2 w2 y z3 w3"
+ROUTE_MUTANTS = [
+    ("sl2", TWIST_ROUTE, (1, 5), ["twist-counit[first]", "twist-counit[second]"]),
+    ("sl2", TWIST_ROUTE, (2, 4), ["twist-counit[first]", "twist-counit[second]"]),
+    ("nambu4", BRAIDING_ROUTE, (3, 7), ["braiding-counit[front]"]),
+    ("nambu4", BRAIDING_ROUTE, (4, 6), ["braiding-counit[front]"]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,route,swap,failing", ROUTE_MUTANTS, ids=["sl2-twist-1-5", "sl2-twist-2-4", "nambu4-R-3-7", "nambu4-R-4-6"]
+)
+def test_check_fails_a_route_whose_inverse_matches(name, route, swap, failing, monkeypatch):
+    def mutated(text):
+        perm = list(layout(text))
+        if text == route:
+            i, j = swap
+            perm[i], perm[j] = perm[j], perm[i]
+        return tuple(perm)
+
+    monkeypatch.setattr(braiding_module, "layout", mutated)
+    out = io.StringIO()
+    assert run_cli(["check", name], out=out) == 1
+    assert [line.split(":")[0] for line in out.getvalue().splitlines() if ": FAIL" in line] == failing
+
+
 def test_twist_inverse_standalone():
     pair = tsd_pair("so3")
     twist = build_twist(pair)
@@ -337,7 +401,7 @@ def test_undo_map_constructions_match_the_per_path_layouts(name):
     # R^-1, theta^-1 and the reversibility left sides built from TsdPair.undoing
     # equal the per-path constructions column for column, in entry order
     k = kit(name)
-    pair, dim, field = k.pair, k.dim, k.field
+    pair, dim, field = k, k.dim, k.field
     layouts = PER_PATH_LAYOUTS[pair.algebra.arity]
     one1, d2, d3 = SparseOperator.identity(1, dim, field), delta_op(2, dim, field), delta_op(3, dim, field)
 

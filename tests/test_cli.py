@@ -197,7 +197,9 @@ PROPERTY_LINES = {
     "coalgebra": {"coalgebra-morphism", "counit-compat", "coalgebra-morphism~", "counit-compat~"},
     "reversibility": {"reversibility"},
     "mixed": {"mixed"},
-    "ybe": {"ybe", "braiding-invertible", "twist-invertible", "filtration", "far-commutation"},
+    "ybe": {
+        "ybe", "braiding-invertible", "twist-invertible", "filtration", "far-commutation", "braiding-counit", "twist-counit"
+    },
     "slide": {"slide-under", "slide-over"},
     "fb-relations": {"braid-relation", "twist-commute", "twist-push"},
 }
@@ -349,6 +351,23 @@ def test_cap_error_past_the_int_str_limit_is_one_line(argv, message, capsys):
     code, text = run(argv)
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "sl2", "--strands", str(10**20), "--word", ""],
+        ["markov", "nambu4", "--strands", str(10**20), "--word", "s1", "--trials", "1"],
+    ],
+    ids=["invariant", "markov"],
+)
+def test_strand_count_past_what_a_tuple_holds_is_one_line_without_the_int_str_limit(argv, monkeypatch, capsys):
+    # with the limit off (PYTHONINTMAXSTRDIGITS=0) no operator dimension is refused for its digits;
+    # the word parser refuses a count above sys.maxsize, and its message does not print the count
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    code, text = run(argv)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: strand count is larger than a tuple can hold\n"
 
 
 LONG = "LONG"  # stands for a 5,001-digit JSON integer, which json.dumps cannot write

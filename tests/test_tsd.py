@@ -142,7 +142,7 @@ def _sign_flipped_T(spec, flip):
 @pytest.mark.parametrize("flip", ["cxy", "bxz", "nested"])
 def test_sign_flip_breaks_tsd_with_witness(flip):
     spec = algebra("sl2")
-    tampered = TsdPair(spec, _sign_flipped_T(spec, flip), build_T_tilde(spec), "binary-composed")
+    tampered = TsdPair(spec, _sign_flipped_T(spec, flip), build_T_tilde(spec))
     report = check_tsd_properties(tampered, ["tsd"])
     assert not report.passed
     failure = report.failures[0]
@@ -153,7 +153,7 @@ def test_sign_flip_breaks_tsd_with_witness(flip):
 @pytest.mark.parametrize("flip,residual", [("cxy", {(1,): 8}), ("bxz", {(1,): 8}), ("nested", {(1,): -8})])
 def test_sign_flip_breaks_mixed_with_frozen_witness(flip, residual):
     spec = algebra("sl2")
-    tampered = TsdPair(spec, _sign_flipped_T(spec, flip), build_T_tilde(spec), "binary-composed")
+    tampered = TsdPair(spec, _sign_flipped_T(spec, flip), build_T_tilde(spec))
     report = check_tsd_properties(tampered, ["mixed"])
     assert [(r.name, r.ok) for r in report.results] == [("mixed[fwd-outer]", False), ("mixed[rev-outer]", True)]
     failure = report.failures[0]
@@ -197,6 +197,6 @@ def test_undoing_is_the_map_itself_on_the_ternary_path():
 def test_arity3_abelian_path():
     spec = builtin_algebra("abelian", dim=1, arity=3)
     pair = make_tsd_pair(spec)
-    assert pair.path == "ternary"
+    assert pair.undoing(pair.op) is pair.op
     assert check_tsd_properties(pair).passed
     assert pair.op.diff_witness(pair.rev) is None
