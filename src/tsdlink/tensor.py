@@ -17,13 +17,13 @@ A step from k to k' legs moves the legs above it by ``shift = stride *
 loop that applies a word to a key.
 
 A leaf map (a column function, a permutation, the comultiplication, the
-counit) is one step whose rows are computed on first use and kept;
-``identity`` is the empty word.  ``compose`` concatenates words; ``tensor``
-runs the left factor's steps past the right factor's input legs, then the
-right factor's steps.  Nothing else stores entries: a column encodes its
-index once, runs the steps and decodes once; a comparison runs both words
-key by key and decodes only the first differing key; ``materialized`` runs
-every key into one step.
+counit) is one step whose rows are computed on first use and kept, a
+permutation's from the digits of its key; ``identity`` is the empty word.
+``compose`` concatenates words; ``tensor`` runs the left factor's steps past
+the right factor's input legs, then the right factor's steps.  Nothing else
+stores entries: a column encodes its index once, runs the steps and decodes
+once; a comparison runs both words key by key and decodes only the first
+differing key; ``materialized`` runs every key into one step.
 
 A word of square steps is the identity on the legs no step touches, so a
 comparison or a key-sum trace runs on the touched legs alone
@@ -47,9 +47,10 @@ permutation).
 
 Permutations act in the push convention: applying ``perm`` routes input
 factor i to output slot perm[i] (0-based), and ``_push`` is the one function
-that applies it.  The higher layers write every leg route as a labelled
-layout, such as ``"x y z1 z2 -> x z1 y z2"``, which ``layout`` turns into
-that permutation; no other module spells a route as numbers.
+that applies it, also to the place values by which a permutation's row
+moves the digits of its key.  The higher layers write every leg route as a
+labelled layout, such as ``"x y z1 z2 -> x z1 y z2"``, which ``layout``
+turns into that permutation; no other module spells a route as numbers.
 
 Tensors and operators are immutable by contract.
 """
@@ -200,17 +201,15 @@ def _decode(key: int, dim: int, rank: int) -> tuple:
 
 
 class _Rows(dict):
-    """The rows of a leaf map, each computed from its column function on first use and kept."""
+    """The rows of a leaf map, each computed from its key by ``row`` on first use and kept."""
 
-    __slots__ = ("fn", "dim", "in_rank", "zero")
+    __slots__ = ("row",)
 
-    def __init__(self, fn: Callable[[tuple], dict], dim: int, in_rank: int, zero):
-        self.fn, self.dim, self.in_rank, self.zero = fn, dim, in_rank, zero
+    def __init__(self, row: Callable[[int], tuple]):
+        self.row = row
 
     def __missing__(self, loc: int) -> tuple:
-        dim, zero = self.dim, self.zero
-        column = self.fn(_decode(loc, dim, self.in_rank))
-        row = self[loc] = tuple((_encode(out, dim) - loc, v) for out, v in column.items() if v != zero)
+        row = self[loc] = self.row(loc)
         return row
 
 
@@ -315,9 +314,14 @@ class SparseOperator:
     __slots__ = ("in_rank", "out_rank", "dim", "field", "steps", "perms")
 
     def __init__(self, in_rank: int, out_rank: int, dim: int, field: Field, fn: Callable[[tuple], dict]):
-        width = dim**in_rank
+        width, zero = dim**in_rank, field.zero
+
+        def row(loc: int) -> tuple:
+            column = fn(_decode(loc, dim, in_rank))
+            return tuple((_encode(out, dim) - loc, v) for out, v in column.items() if v != zero)
+
         self.in_rank, self.out_rank, self.dim, self.field = in_rank, out_rank, dim, field
-        self.steps = ((_Rows(fn, dim, in_rank, field.zero), 1, width, dim**out_rank - width),)
+        self.steps = ((_Rows(row), 1, width, dim**out_rank - width),)
         self.perms = (None,)
 
     # -- constructors ------------------------------------------------------
@@ -329,8 +333,18 @@ class SparseOperator:
 
     @classmethod
     def permutation(cls, perm: Sequence[int], dim: int, field: Field) -> "SparseOperator":
-        push, one = _push(perm, len(perm)), field.one
-        return cls(len(perm), len(perm), dim, field, lambda idx: {push(idx): one})
+        rank, one = len(perm), field.one
+        places = [dim**p for p in reversed(range(rank))]  # the place value of each slot
+        pushed = _push(perm, rank)(places)  # pushed[s]: the place value of the leg pushed to slot s
+        moves = tuple((was, now - was) for was, now in zip(pushed, places) if was != now)
+
+        def row(loc: int) -> tuple:
+            delta = 0
+            for place, move in moves:
+                delta += loc // place % dim * move
+            return ((delta, one),)
+
+        return _word(rank, rank, dim, field, ((_Rows(row), 1, dim**rank, 0),), (None,))
 
     @classmethod
     def padded(cls, rows, perm, legs: int, offset: int, rank: int, dim: int, field: Field) -> "SparseOperator":

@@ -162,7 +162,9 @@ def _identities(pair: TsdPair, which: set):
 
     The structural leaves (the identity, the comultiplications, the counit,
     the 9-leg interleave and the expansion of the last two inputs) are built
-    once here, so the identities of one sweep share their rows.
+    once here, so the identities of one sweep share their rows.  The middle
+    word of rhs is materialized once for T when tsd and mixed both run it,
+    and for T~ when tsd-tilde and mixed do.
     """
     dim, field, op, rev = pair.dim, pair.field, pair.op, pair.rev
     one1 = SparseOperator.identity(1, dim, field)
@@ -170,6 +172,7 @@ def _identities(pair: TsdPair, which: set):
     eps = counit_op(dim, field)
     route = SparseOperator.permutation(INTERLEAVE_9, dim, field)
     expand = tensor_chain([one1, one1, one1, d3, d3])
+    shared, middles = {m for name, m in (("tsd", op), ("tsd-tilde", rev)) if {name, "mixed"} <= which}, {}
 
     def lhs(outer, inner):
         """outer(inner(x, y, z), u, v): the left side of the self-distributivity diagram."""
@@ -177,7 +180,10 @@ def _identities(pair: TsdPair, which: set):
 
     def rhs(outer, inner):
         """outer(inner(x, u1, v1), inner(y, u2, v2), inner(z, u3, v3)), with u and v comultiplied into three legs."""
-        return compose_chain([outer, tensor_chain([inner, inner, inner]), route, expand])
+        middle = compose_chain([tensor_chain([inner, inner, inner]), route, expand])
+        if inner in shared and inner not in middles:
+            middles[inner] = middle.materialized()
+        return outer.compose(middles.get(inner, middle))
 
     if "tsd" in which:
         yield "tsd", lhs(op, op), rhs(op, op)

@@ -8,6 +8,8 @@ from helpers import CountingRows, full_scan_witness
 from tsdlink.fields import RATIONALS, PrimeField
 from tsdlink.tensor import (
     SparseOperator,
+    _decode,
+    _push,
     _touched_legs,
     SparseTensor,
     compose_chain,
@@ -20,6 +22,7 @@ from tsdlink.tensor import (
     permute,
     vector,
 )
+from tsdlink.tsd import INTERLEAVE_9
 
 F = RATIONALS
 
@@ -155,6 +158,34 @@ def test_leaf_computes_each_column_once():
     for product in (leaf.tensor(identity), identity.tensor(leaf)):
         assert product.column((1, 1)) == product.column((1, 1)) == {(1, 1): 1}
     assert calls == [(1,)]  # every operator above shares the leaf's one row
+
+
+def _permutation_cases():
+    rng = random.Random(2718)
+    for rank in range(1, 7):
+        for dim in range(2, 6):
+            yield tuple(rng.sample(range(rank), rank)), dim
+    yield INTERLEAVE_9, 5
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(10007)], ids=["Q", "F10007"])
+def test_permutation_rows_match_the_generic_column_leaf(field):
+    # a permutation row moves the key's digits; the column leaf of the push gives the reference row
+    rng, one = random.Random(1618), field.one
+    for perm, dim in _permutation_cases():
+        rank = len(perm)
+        push = _push(perm, rank)
+        rows = SparseOperator.permutation(perm, dim, field).steps[0][0]
+        generic = SparseOperator(rank, rank, dim, field, lambda idx: {push(idx): one}).steps[0][0]
+        keys = range(dim**rank) if rank <= 4 else rng.sample(range(dim**rank), min(300, dim**rank))
+        for key in keys:
+            assert rows[key] == generic[key], (perm, dim, _decode(key, dim, rank))
+
+
+def test_permutation_rows_are_filled_on_first_use():
+    op = SparseOperator.permutation(INTERLEAVE_9, 5, F)
+    assert op.column((1, 2, 3, 4, 0, 1, 2, 3, 4)) == {(1, 4, 2, 2, 0, 3, 3, 1, 4): 1}
+    assert len(op.steps[0][0]) == 1
 
 
 def test_op_tensor():

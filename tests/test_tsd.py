@@ -102,6 +102,30 @@ def test_sweep_builds_each_structural_leaf_once(name, monkeypatch):
     assert deltas.count(3) == 1
 
 
+@pytest.mark.parametrize("name", ["sl2", "nambu4"])
+def test_sweep_materializes_each_shared_middle_once(name, monkeypatch):
+    # tsd and mixed[fwd-outer] share the middle word of T, tsd-tilde and mixed[rev-outer] that of T~
+    calls = []
+    materialized = SparseOperator.materialized
+
+    def counting_materialized(self):
+        calls.append(self.in_rank)
+        return materialized(self)
+
+    monkeypatch.setattr(SparseOperator, "materialized", counting_materialized)
+    pair = tsd_pair(name)
+    assert check_tsd_properties(pair).passed
+    assert calls == [5, 5]
+    rhs = {label: side for label, _, side in tsd_module._identities(pair, {"tsd", "tsd-tilde", "mixed"})}
+    assert rhs["tsd"].steps[0] is rhs["mixed[fwd-outer]"].steps[0]
+    assert rhs["tsd-tilde"].steps[0] is rhs["mixed[rev-outer]"].steps[0]
+    assert rhs["tsd"].steps[0] is not rhs["tsd-tilde"].steps[0]
+    for which in (["tsd"], ["tsd-tilde"], ["mixed"]):
+        calls.clear()
+        assert check_tsd_properties(pair, which).passed
+        assert calls == []
+
+
 def test_counit_compatibility_reported():
     report = check_tsd_properties(tsd_pair("sl2"), ["coalgebra-morphism"])
     assert report.passed
